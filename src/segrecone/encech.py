@@ -11,7 +11,11 @@ a chart is free on the wedge subsets T of the three generators for which
 u - sum(T) lies in the chart monoid, and all truncation relations are given
 by monomial conditions on the fiber exponent.  Global sections are kernels
 of the pairwise comparison map in a fixed rank-3 lattice frame, character by
-character; the character boxes carry a stability guard.
+character.  Only the characters that every chart sees are evaluated: they
+lie in the explicit polytope 0 <= u_i, xdeg(u) < n, which is enumerated
+directly (character_support); why no section lives elsewhere is argued at
+global_sections.  A box guard of margin n + m + BOX_PAD bounds every
+evaluated character.
 
 Overlap rings are never hard-coded: for each pair of charts the set of
 invertible base coordinates is derived by bounded reachability and the
@@ -221,6 +225,12 @@ def _wedge_pool(kind: str, m: int):
     return tuple(combinations(range(3), m))
 
 
+def _ambient_kind(kind: str) -> str:
+    """The model whose labels span the ambient of ``kind``: the d-image and
+    the top cyclic quotient live on the reduced forms."""
+    return "omega_tilde" if kind in ("image_d", "hc_top") else kind
+
+
 def chart_labels(kind: str, m: int, n: int, C: int, u):
     """(ambient, relations) wedge labels of the model slice on chart C."""
     amb, rel = [], []
@@ -300,11 +310,7 @@ class CharModel:
 def _pair_reduction_echelon(kind, m, n, P, Q, u):
     ech = Echelon()
     base, _ = overlap_data(P, Q)
-    if kind in ("omega", "horizontal", "ideal_power"):
-        o_kind = kind
-    else:
-        o_kind = "omega_tilde"
-    _, rel = overlap_labels(o_kind, m, n, P, Q, u)
+    _, rel = overlap_labels(_ambient_kind(kind), m, n, P, Q, u)
     for T in rel:
         ech.add(dict(wedge_lambda(base, T)))
     if kind == "hc_top" and m >= 1:
@@ -320,8 +326,7 @@ def char_model(kind: str, m: int, n: int, u) -> CharModel:
         raise EngineError(f"unknown model kind {kind!r}")
     amb, rel_vecs, sub_ech = [], [], []
     for C in range(4):
-        a_kind = "omega_tilde" if kind in ("image_d", "hc_top") else kind
-        a, r = chart_labels(a_kind, m, n, C, u)
+        a, r = chart_labels(_ambient_kind(kind), m, n, C, u)
         amb.append(a)
         rels = [{T: Fraction(1)} for T in r]
         if kind == "hc_top" and m >= 1:
@@ -417,15 +422,15 @@ def h0_char(kind: str, m: int, n: int, u) -> CharSections:
 
 
 # ---------------------------------------------------------------------------
-# Character support enumeration with the box guard.
+# Character support: the characters every chart sees, with the box guard.
 
 
 BOX_PAD = 4
 
 
 def set_box_pad(pad: int) -> None:
-    """Enlarge (or reset) the character box margin.  Cached section spaces
-    depend on it, so the cache is dropped on change."""
+    """Enlarge (or reset) the guard margin around n + m.  Whether the guard
+    fires depends on it, so cached section spaces are dropped on change."""
     global BOX_PAD
     if pad < 0:
         raise EngineError("box pad must be >= 0")
@@ -438,27 +443,36 @@ def _char_box(n: int, m: int) -> int:
     return n + m + BOX_PAD
 
 
+def _chart_sees(kind: str, m: int, n: int, C: int, u) -> bool:
+    """Chart C carries a non-relation ambient label at u."""
+    amb, rel = chart_labels(_ambient_kind(kind), m, n, C, u)
+    return len(amb) > len(rel)
+
+
 def character_support(kind: str, m: int, n: int):
-    """All characters at which some chart carries a non-relation label,
-    enumerated to the padded box; support outside the nominal box is a
-    stability failure."""
-    B = _char_box(n, m)
-    pad = B + 2
-    found = set()
-    for C in range(4):
-        v, g1, g2 = CHART_GENS[C]
-        for T in _wedge_pool(kind, m):
-            base = _gens_sum(C, T)
-            lo = _alpha_floor(kind, T)
-            hi = _rel_threshold(n, T) - 1
-            for alpha in range(lo, hi + 1):
-                for beta in range(0, pad + 4):
-                    for gamma in range(0, pad + 4):
-                        u = _vadd(base, tuple(
-                            alpha * a + beta * b + gamma * c
-                            for a, b, c in zip(v, g1, g2)))
-                        if max(abs(x) for x in u) <= pad:
-                            found.add(u)
+    """The characters at which all four charts carry a non-relation ambient
+    label, plus u = 0: the characters global_sections evaluates.
+
+    Bounds.  Chart C's coordinates of a lattice character u are
+    (xdeg(u), b1, b2) with base coordinates (u3, u1), (u0, u2), (u2, u1),
+    (u0, u3) for C = 0..3, so the four charts' base coordinates are all
+    four u_i.  A label T of the chart at u has chart coordinates
+    sum(T) + (alpha, beta, gamma) with beta, gamma >= 0, and it is not a
+    relation only if alpha < n - [0 in T], that is xdeg(u) <= n - 1.
+    A character every chart sees therefore lies in the polytope
+
+        u_i >= 0 for i = 0..3  and  u0 + u1 = u2 + u3 = xdeg(u) <= n - 1,
+
+    which holds sum_{x < n} (x + 1)^2 lattice characters, all with
+    max|u_i| <= n - 1 < n + m.  It is enumerated directly, and each of its
+    characters is kept when every chart sees it."""
+    found = {(0, 0, 0, 0)}
+    for x in range(n):
+        for u0 in range(x + 1):
+            for u2 in range(x + 1):
+                u = (u0, x - u0, u2, x - u2)
+                if all(_chart_sees(kind, m, n, C, u) for C in range(4)):
+                    found.add(u)
     return found
 
 
@@ -484,14 +498,46 @@ class GlobalSections:
 
 @lru_cache(maxsize=None)
 def global_sections(kind: str, m: int, n: int) -> GlobalSections:
+    """Global sections of the model, from h0_char at the characters of
+    character_support; a character outside the box n + m + BOX_PAD is a
+    BoxInstabilityError.
+
+    Why no other character carries a section.  A chart with no non-relation
+    ambient label at u has a zero slice there.  A global section that is
+    zero on chart C restricts to zero on every overlap of C with a chart D,
+    so it is zero on D as soon as restriction from D to the overlap is
+    injective; then it is zero everywhere.  Injectivity, kind by kind:
+
+    * omega, omega_tilde, horizontal, ideal_power, image_d.  The chart
+      slice is a submodule of a free module over k[f]/(f^n)[b1, b2]
+      (image_d sits inside omega_tilde modulo its relations), restriction
+      to an overlap is the localisation at some base coordinates, and base
+      coordinates are non-zero-divisors on k[f]/(f^n)[b1, b2].
+    * hc_top = omega_tilde^m / d omega_tilde^{m-1}, at u != 0.  Pick a
+      cocharacter a with <u, a> != 0 and let E = sum_j a_j x_j d/dx_j be
+      its Euler field.  Contraction by E maps chart forms to chart forms
+      and overlap forms to overlap forms, and it preserves the truncation
+      relations f^n Omega + f^{n-1} df ^ Omega (because E f = <v, a> f for
+      the fiber character v) and the reduced-form condition.  On forms of
+      character u, d i_E + i_E d = <u, a>.  Let w be a chart form that is
+      d-exact on an overlap modulo relations.  Since d maps relations to
+      relations, dw is a relation on the overlap, hence on the chart by the
+      first case: w is closed on the chart modulo relations.  So
+      w = d(i_E w) / <u, a> modulo chart relations, which is zero in
+      hc_top.
+    * u = 0, where <u, a> = 0 for every a, is always evaluated.
+
+    tests/test_encech.py evaluates h0_char on the whole padded box that
+    contains every character some chart sees and checks that it finds
+    exactly these sections."""
     B = _char_box(n, m)
     chars = {}
     for u in sorted(character_support(kind, m, n)):
+        if max(abs(x) for x in u) > B:
+            raise BoxInstabilityError(
+                f"{kind} m={m} n={n}: support outside box at {u}")
         cs = h0_char(kind, m, n, u)
         if cs.dim:
-            if max(abs(x) for x in u) > B:
-                raise BoxInstabilityError(
-                    f"{kind} m={m} n={n}: support outside box at {u}")
             chars[u] = cs
     return GlobalSections(kind, m, n, chars, sum(c.dim for c in
                                                  chars.values()))

@@ -4,6 +4,7 @@ import json
 import pytest
 
 import segrecone.cli as cli
+from segrecone import ktheory
 from segrecone.errors import BoxInstabilityError
 
 
@@ -82,6 +83,35 @@ def test_engine_error_exit_code(capsys, monkeypatch):
     assert rec["witnesses"] == [{"error": "support outside box",
                                  "type": "BoxInstabilityError"}]
     assert "ERROR euler" in err
+
+
+def test_verify_several_checks(capsys):
+    code, out, _ = run(capsys, "verify", "vanish-omega", "k4")
+    assert code == 0
+    doc = zero_elapsed(json.loads(out))
+    assert [c["check_id"] for c in doc["checks"]] == ["k4", "vanish-omega"]
+    assert all(c["verdict"] == "PASS" for c in doc["checks"])
+    _, out2, _ = run(capsys, "verify", "k4", "vanish-omega")
+    assert zero_elapsed(json.loads(out2)) == doc
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "k4", "all"])
+    assert exc.value.code == 2
+
+
+def test_k3_fails_when_the_componentwise_kernels_disagree(capsys,
+                                                          monkeypatch):
+    class Tower:
+        def dims(self):
+            return {1: 0, 2: 4, 3: 14}
+    monkeypatch.setattr(ktheory, "compute_K3", lambda nmax: Tower())
+    code, out, err = run(capsys, "verify", "k3", "--nmax", "3",
+                         "--window", "2")
+    assert code == 1
+    rec = json.loads(out)["checks"][0]
+    assert rec["verdict"] == "FAIL"
+    assert rec["witnesses"] == [{"level": 3, "pro_kernel_dim": 14,
+                                 "component_kernel_dim": 13}]
+    assert "FAIL k3" in err
 
 
 def test_verify_all_with_jobs_uses_stub_runners(capsys, monkeypatch):

@@ -28,7 +28,7 @@ from segrecone.encech import (
     verify_alg_surjection,
     xdeg,
 )
-from segrecone.errors import EngineError
+from segrecone.errors import BoxInstabilityError, EngineError
 from segrecone.monoid import SEGRE_CHARS
 
 import segrecone.encech as encech
@@ -75,6 +75,18 @@ def test_chart_coords_invert_the_generator_matrix(C, a, b, c):
     rebuilt = tuple(sum(co[k] * CHART_GENS[C][k][j] for k in range(3))
                     for j in range(4))
     assert rebuilt == u
+
+
+# base coordinates of each chart, as positions in the character u
+CHART_BASE = ((3, 1), (0, 2), (2, 1), (0, 3))
+
+
+@given(st.integers(0, 3), small, small, small)
+def test_chart_coords_are_xdeg_and_two_character_entries(C, a, b, c):
+    # the bounds of character_support rest on this shape
+    u = lexpand(a, b, c)
+    i, j = CHART_BASE[C]
+    assert chart_coords(C, u) == (xdeg(u), u[i], u[j])
 
 
 def test_every_generator_is_regular_on_every_chart():
@@ -193,3 +205,69 @@ def test_box_pad_stability_and_validation():
     assert encech.BOX_PAD == 4
     with pytest.raises(EngineError):
         set_box_pad(-1)
+
+
+def test_box_guard_fires_below_the_support(monkeypatch):
+    # the omega support at n = 4 reaches max|u_i| = 3 = n - 1
+    global_sections.cache_clear()
+    try:
+        monkeypatch.setattr(encech, "BOX_PAD", -1)
+        assert global_sections("omega", 0, 4).dim == 30
+        global_sections.cache_clear()
+        monkeypatch.setattr(encech, "BOX_PAD", -2)
+        with pytest.raises(BoxInstabilityError):
+            global_sections("omega", 0, 4)
+    finally:
+        global_sections.cache_clear()
+
+
+# -- exhaustive oracle for the character support ------------------------------
+
+def _box_scan(kind, m, n):
+    """Every character some chart sees, out to the padded box
+    n + m + BOX_PAD + 2: the enumeration that global_sections prunes to
+    the characters every chart sees."""
+    pad = n + m + encech.BOX_PAD + 2
+    found = set()
+    for C in range(4):
+        v, g1, g2 = CHART_GENS[C]
+        for T in encech._wedge_pool(kind, m):
+            base = encech._gens_sum(C, T)
+            for alpha in range(encech._alpha_floor(kind, T),
+                               encech._rel_threshold(n, T)):
+                for beta in range(pad + 4):
+                    for gamma in range(pad + 4):
+                        u = tuple(s + alpha * x + beta * y + gamma * z
+                                  for s, x, y, z in zip(base, v, g1, g2))
+                        if max(map(abs, u)) <= pad:
+                            found.add(u)
+    return found
+
+
+# every (kind, m) the engine evaluates, for n <= 3; the H0-surjection
+# kinds also at n = 4
+_ORACLE_MS = {"omega": range(5), "omega_tilde": range(5),
+              "image_d": range(5), "hc_top": range(5),
+              "horizontal": (1, 2), "ideal_power": (0,)}
+_ORACLE_CASES = (
+    [(kind, m, n) for kind, ms in _ORACLE_MS.items() for m in ms
+     for n in (1, 2, 3)]
+    + [(kind, m, 4) for kind in ("omega_tilde", "image_d", "hc_top")
+       for m in range(4)])
+
+
+@pytest.mark.parametrize("kind,m,n", _ORACLE_CASES)
+def test_support_matches_the_padded_box_scan(kind, m, n, monkeypatch):
+    gs = global_sections(kind, m, n)
+    # evaluate the box uncached, so the scan neither reuses nor keeps models
+    monkeypatch.setattr(encech, "char_model", encech.char_model.__wrapped__)
+    scanned = {}
+    for u in _box_scan(kind, m, n):
+        cs = encech.h0_char.__wrapped__(kind, m, n, u)
+        if cs.dim:
+            scanned[u] = cs
+    assert sorted(scanned) == sorted(gs.chars)
+    for u, cs in scanned.items():
+        got = gs.chars[u]
+        assert (got.dim, got.flat_labels, got.basis) == \
+            (cs.dim, cs.flat_labels, cs.basis)
