@@ -218,8 +218,14 @@ def _check_monoid(cfg: Config):
     if not (len(basis) == 1 and basis[0] in (rel, rel.scale(-1))):
         witnesses.append({"toric_ideal": [repr(p) for p in basis]})
     for c in range(2, 13):
-        if monoids.c_divisibility_witness(m, c, degree_bound=6) is None:
+        w = monoids.c_divisibility_witness(m, c, degree_bound=6)
+        if w is None:
             witnesses.append({"c_divisible": c})
+        elif not m.contains(w) or not any(w) or (
+                all(x % c == 0 for x in w)
+                and m.contains(tuple(x // c for x in w))):
+            # not a nonzero monoid element without a c-th divisor
+            witnesses.append({"invalid_witness": list(w), "c": c})
     normal = monoids.is_normal_up_to(m, 6)
     if not normal:
         witnesses.append({"normality": "counterexample below degree 6"})
@@ -417,7 +423,16 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser = _build_parser()
-    args = parser.parse_args(_glue_range_values(list(argv)))
+    # argparse takes the check ids only before the first option (and
+    # parse_intermixed_args refuses subparsers), so ids after an option
+    # come back as leftovers
+    args, extra = parser.parse_known_args(_glue_range_values(list(argv)))
+    if args.command == "verify":
+        ids = CHECK_IDS + ("all",)
+        args.check += [t for t in extra if t in ids]
+        extra = [t for t in extra if t not in ids]
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     if args.command == "verify" and "all" in args.check \
             and len(args.check) > 1:
         parser.error("`all` cannot be combined with other checks")

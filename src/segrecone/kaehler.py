@@ -258,10 +258,6 @@ def build_differential_module(pres: AlgebraPresentation, up_to: int = 5,
     return DifferentialModule(alg, list(alg.gb.elements), up_to, verify)
 
 
-def qn_presentation(n: int) -> AlgebraPresentation:
-    return AlgebraPresentation(4, (cone_relation(),), n)
-
-
 @lru_cache(maxsize=None)
 def qn_algebra(n: int) -> FiniteAlgebra:
     return truncated_quotient([cone_relation()], n)

@@ -5,9 +5,11 @@ algorithm with inter-reduction, normal forms, and the finite-dimensional
 truncated quotient algebras k[x1..xr]/(ideal + m^n) with their monomial
 bases and lazy structure constants.
 
-The ideals handled here are small (a binomial plus one degree slice of the
-maximal ideal), so the plain Buchberger loop with the coprime-lead criterion
-is entirely adequate; no fraction-free or modular tricks.
+Buchberger runs only on small ideals (the toric ideal of a monoid, or the
+homogeneous ideal under a truncation), so the plain loop with the
+coprime-lead criterion is adequate; no fraction-free or modular tricks.
+The truncation by m^n itself needs no Buchberger: ``truncated_quotient``
+reads the basis of I + m^n off the basis of I by the truncation rule.
 """
 
 from __future__ import annotations
@@ -412,21 +414,62 @@ class FiniteAlgebra:
 def truncated_quotient(ideal_gens: Sequence[Polynomial], n: int,
                        order: MonomialOrder = GREVLEX,
                        nvars: int | None = None) -> FiniteAlgebra:
-    """The algebra k[x1..xr]/(ideal_gens + m^n), m the irrelevant ideal.
+    """The algebra k[x1..xr]/(I + m^n), I = (ideal_gens), m the irrelevant
+    ideal.
 
     Basis: standard monomials, necessarily of degree < n.  ``nvars`` is only
     needed when ideal_gens is empty (pure truncation of a polynomial ring).
+
+    The reduced Groebner basis of J = I + m^n is read off the reduced basis
+    G of I alone (the truncation rule), not computed by Buchberger on J:
+    the elements of G of degree < n, plus the degree-n monomials that no
+    lead of those elements divides, sorted as ``groebner`` sorts.  The rule
+    needs homogeneous generators and a degree-compatible order (grlex or
+    grevlex); anything else raises ValueError.
+
+    Proof.  I and J are homogeneous ideals, and the elements of G are
+    homogeneous, so each lead of G has the degree of its element.  First,
+    in(J) = in(I) + m^n.  The inclusion from right to left holds since I and
+    m^n lie in J and m^n is a monomial ideal.  Conversely let f in J be
+    nonzero, and let f_d be its component of top degree d.  Under a
+    degree-compatible order in(f) = in(f_d), and f_d lies in J since J is
+    homogeneous.  If d >= n then in(f) lies in m^n.  If d < n, write
+    f_d = g + h with g in I and h in m^n; h has no terms of degree d < n,
+    so f_d equals the degree-d component of g, which lies in I since I is
+    homogeneous; hence in(f) = in(f_d) lies in in(I).
+    So in(J) is generated by the leads of G of degree < n (leads of higher
+    degree lie in m^n) and the degree-n monomials, of which those divisible
+    by such a lead are redundant.  The rule's elements lie in J and their
+    leads generate in(J), so they form a Groebner basis of J (Cox-Little-
+    O'Shea, Ideals, Varieties, and Algorithms, ch. 2 sec. 5-7).  It is
+    reduced: the elements of G below degree n are reduced against each
+    other because G is; their terms have degree < n, so no degree-n
+    monomial divides them; two distinct monomials of equal degree do not
+    divide each other, and no kept monomial is divisible by a lead of G by
+    choice.  All elements are monic, and the reduced basis is unique, so
+    the rule returns exactly what Buchberger on J returns.  For the cone
+    binomial G is the binomial itself, so for n <= 2 the basis is all of
+    the degree-n monomials.  ``tests/test_polyring.py`` cross-checks the
+    rule against ``groebner`` on J.
     """
     if n < 1:
         raise ValueError("truncation level must be >= 1")
+    if order.kind == "lex":
+        raise ValueError("the truncation rule needs a degree-compatible order")
     if ideal_gens:
         nvars = ideal_gens[0].nvars
     elif nvars is None:
         raise ValueError("empty ideal needs an explicit nvars")
     gens = [g for g in ideal_gens if not g.is_zero()]
-    gens.extend(Polynomial.monomial(m) for m in monomials_of_degree(nvars, n))
-    gb = groebner(gens, order)
-    return FiniteAlgebra(nvars, gb, level=n)
+    if not all(g.is_homogeneous() for g in gens):
+        raise ValueError("the truncation rule needs homogeneous generators")
+    basis = ([g for g in groebner(gens, order) if g.total_degree() < n]
+             if gens else [])
+    leads = [g.leading(order)[0] for g in basis]
+    basis += [Polynomial.monomial(m) for m in monomials_of_degree(nvars, n)
+              if not any(mon_div(m, lm) is not None for lm in leads)]
+    basis.sort(key=lambda g: order.key(g.leading(order)[0]))
+    return FiniteAlgebra(nvars, GroebnerBasis(order, basis), level=n)
 
 
 def hilbert_function(alg: FiniteAlgebra) -> list[int]:

@@ -1,10 +1,12 @@
 """Command-line driver: exit codes, output formats, determinism."""
 import json
+import re
 
 import pytest
 
 import segrecone.cli as cli
 from segrecone import ktheory
+from segrecone import monoid as monoids
 from segrecone.errors import BoxInstabilityError
 
 
@@ -96,6 +98,36 @@ def test_verify_several_checks(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "k4", "all"])
     assert exc.value.code == 2
+
+
+def test_check_ids_may_follow_options(capsys):
+    def text_report(*argv):
+        code, out, _ = run(capsys, *argv)
+        return code, re.sub(r"\([0-9.e-]+s\)", "(elapsed)", out)
+    expected = text_report("verify", "euler", "k4", "--format", "text")
+    assert expected[0] == 0
+    assert "] k4 (elapsed)" in expected[1]
+    assert text_report("verify", "euler", "--format", "text", "k4") == expected
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "euler", "--format", "text", "nonsense"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["table", "hilbert", "--nmax", "4", "k4"])
+    assert exc.value.code == 2
+
+
+def test_monoid_check_fails_on_a_witness_outside_the_definition(
+        capsys, monkeypatch):
+    # 2 * (1, 1, 1, 1) with (1, 1, 1, 1) = z1z3 + z2z4 in the monoid: a
+    # 2-divisible element, so no witness against 2-divisibility
+    monkeypatch.setattr(monoids, "c_divisibility_witness",
+                        lambda m, c, degree_bound: (2, 2, 2, 2))
+    code, out, err = run(capsys, "verify", "monoid")
+    assert code == 1
+    rec = json.loads(out)["checks"][0]
+    assert rec["verdict"] == "FAIL"
+    assert rec["witnesses"] == [{"invalid_witness": [2, 2, 2, 2], "c": 2}]
+    assert "FAIL monoid" in err
 
 
 def test_k3_fails_when_the_componentwise_kernels_disagree(capsys,

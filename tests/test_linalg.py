@@ -203,6 +203,57 @@ def test_rank_nullity_for_maps(images):
     assert f.rank() + len(f.kernel()) == dom.dim
 
 
+# -- against a dense Gaussian-elimination reference ------------------------
+
+def dense_rank(rows):
+    """Rank of a dense Fraction matrix by plain Gaussian elimination."""
+    work = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        for i in range(len(work)):
+            if i != rank and work[i][col]:
+                f = work[i][col] / work[rank][col]
+                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """Products B * C of r x k and k x c matrices, so rank <= k."""
+    r, k, c = (draw(st.integers(1, 6)), draw(st.integers(0, 6)),
+               draw(st.integers(1, 6)))
+    b = [[draw(fracs) for _ in range(k)] for _ in range(r)]
+    cm = [[draw(fracs) for _ in range(c)] for _ in range(k)]
+    return [[sum((b[i][t] * cm[t][j] for t in range(k)), F(0))
+             for j in range(c)] for i in range(r)]
+
+
+@given(low_rank_matrices())
+def test_echelon_and_kernel_match_dense_elimination(a):
+    nrows, ncols = len(a), len(a[0])
+    rank = dense_rank(a)
+    ech = Echelon()
+    for row in a:
+        ech.add({j: x for j, x in enumerate(row)})
+    assert ech.rank == rank
+    f = LinearMap(VectorSpaceWithBasis(range(ncols)),
+                  VectorSpaceWithBasis(range(nrows)),
+                  [{i: a[i][j] for i in range(nrows)} for j in range(ncols)])
+    assert f.rank() == rank
+    ker = f.kernel()
+    assert len(ker) == ncols - rank
+    for v in ker:
+        assert all(sum((a[i][j] * v.get(j, 0) for j in range(ncols)), F(0)) == 0
+                   for i in range(nrows))
+    assert dense_rank([[v.get(j, F(0)) for j in range(ncols)]
+                       for v in ker]) == len(ker)
+
+
 # -- quotient spaces --------------------------------------------------------
 
 def test_quotient_identifies_glued_labels():

@@ -2,12 +2,14 @@
 from fractions import Fraction
 from math import comb
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from segrecone.polyring import (
     GREVLEX,
     FiniteAlgebra,
+    MonomialOrder,
     Polynomial,
     groebner,
     hilbert_function,
@@ -168,3 +170,41 @@ def test_nf_terms_linear_over_basis():
     alg = truncated_quotient([CONE_REL], 3)
     lhs = alg.nf_terms({(1, 1, 0, 0): F(2), (1, 0, 0, 0): F(1)})
     assert lhs == {(0, 0, 1, 1): F(2), (1, 0, 0, 0): F(1)}
+
+
+# -- the truncation rule against Buchberger on I + m^n ---------------------
+
+def _twisted_cubic_minors():
+    """2x2 minors of [[x1, x2, x3], [x2, x3, x4]]."""
+    return [Polynomial(4, {(1, 0, 1, 0): 1, (0, 2, 0, 0): -1}),
+            Polynomial(4, {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1}),
+            Polynomial(4, {(0, 1, 0, 1): 1, (0, 0, 2, 0): -1})]
+
+
+TRUNCATION_CASES = (
+    [("cone", [CONE_REL], 4, n) for n in range(1, 9)]
+    + [("free2", [], 2, n) for n in range(1, 6)]
+    + [("free4", [], 4, n) for n in range(1, 5)]
+    + [("twisted-cubic", _twisted_cubic_minors(), 4, n) for n in range(1, 6)])
+
+
+@pytest.mark.parametrize("kind", ["grevlex", "grlex"])
+@pytest.mark.parametrize("name,gens,nvars,n", TRUNCATION_CASES,
+                         ids=[f"{c[0]}-n{c[3]}" for c in TRUNCATION_CASES])
+def test_truncation_rule_matches_buchberger(name, gens, nvars, n, kind):
+    order = MonomialOrder(kind)
+    alg = truncated_quotient(gens, n, order, nvars=nvars)
+    full = groebner(gens + [Polynomial.monomial(m)
+                            for m in monomials_of_degree(nvars, n)], order)
+    assert alg.gb.elements == full.elements  # same elements, same order
+    assert alg.basis == FiniteAlgebra(nvars, full, level=n).basis
+
+
+def test_truncation_rule_refuses_lex_and_inhomogeneous_input():
+    with pytest.raises(ValueError, match="degree-compatible"):
+        truncated_quotient([CONE_REL], 3, MonomialOrder("lex"))
+    with pytest.raises(ValueError, match="degree-compatible"):
+        truncated_quotient([], 3, MonomialOrder("lex"), nvars=2)
+    inhomogeneous = CONE_REL + Polynomial.variable(0, 4)
+    with pytest.raises(ValueError, match="homogeneous"):
+        truncated_quotient([inhomogeneous], 3)
