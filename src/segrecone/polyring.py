@@ -427,8 +427,10 @@ def truncated_quotient(ideal_gens: Sequence[Polynomial], n: int,
     needs homogeneous generators and a degree-compatible order (grlex or
     grevlex); anything else raises ValueError.
 
-    Proof.  I and J are homogeneous ideals, and the elements of G are
-    homogeneous, so each lead of G has the degree of its element.  First,
+    Proof.  I and J are homogeneous ideals.  The elements of G are
+    homogeneous (Buchberger on homogeneous generators forms only
+    homogeneous S-polynomials and remainders), so each lead of G has the
+    degree of its element.  First,
     in(J) = in(I) + m^n.  The inclusion from right to left holds since I and
     m^n lie in J and m^n is a monomial ideal.  Conversely let f in J be
     nonzero, and let f_d be its component of top degree d.  Under a
@@ -445,8 +447,8 @@ def truncated_quotient(ideal_gens: Sequence[Polynomial], n: int,
     reduced: the elements of G below degree n are reduced against each
     other because G is; their terms have degree < n, so no degree-n
     monomial divides them; two distinct monomials of equal degree do not
-    divide each other, and no kept monomial is divisible by a lead of G by
-    choice.  All elements are monic, and the reduced basis is unique, so
+    divide each other, and by choice no kept monomial is divisible by a
+    lead of G below degree n.  All elements are monic, and the reduced basis is unique, so
     the rule returns exactly what Buchberger on J returns.  For the cone
     binomial G is the binomial itself, so for n <= 2 the basis is all of
     the degree-n monomials.  ``tests/test_polyring.py`` cross-checks the
