@@ -1,17 +1,22 @@
-"""Golden report: `verify all` at the default config, byte for byte.
+"""Golden reports: `verify all` and the four tables at the default config,
+byte for byte.
 
 `tests/data/verify_all.json` is the JSON report of
 `segrecone verify all --nmax 5 --window 3` with every `elapsed` field
-removed (elapsed time is outside the determinism contract).  A change that
-is meant to alter the report regenerates the file and says why; any other
-difference is a regression.
+removed (elapsed time is outside the determinism contract).
+`tests/data/table_<id>.json` is the JSON output of `segrecone table <id>`
+at the default config.  A change that is meant to alter a report
+regenerates its file and says why; any other difference is a regression.
 """
 import json
 from pathlib import Path
 
+import pytest
+
 import segrecone.cli as cli
 
-GOLDEN = Path(__file__).parent / "data" / "verify_all.json"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "verify_all.json"
 
 
 def test_verify_all_matches_the_golden_report(capsys):
@@ -21,3 +26,11 @@ def test_verify_all_matches_the_golden_report(capsys):
         del rec["elapsed"]
     assert code == 0
     assert json.dumps(doc, indent=2) + "\n" == GOLDEN.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("table_id", cli.TABLE_IDS)
+def test_table_matches_the_golden_output(capsys, table_id):
+    code = cli.main(["table", table_id])
+    assert code == 0
+    golden = DATA / f"table_{table_id}.json"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
