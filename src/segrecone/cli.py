@@ -196,13 +196,18 @@ def _check_k5plus(cfg: Config):
 
 
 def _check_k3(cfg: Config):
-    """The pro-kernel dims against the kernels of the level components,
-    computed again one level at a time."""
+    """The pro-kernel dims against rank-nullity of the level components.
+
+    The components are the cached maps compute_K3 built, and their rank
+    comes from an untracked elimination, not from the kernel basis the
+    pro-kernel holds.  So this guards the pro-kernel bookkeeping (levels,
+    kernel bases, transitions); it does not recompute or check the maps."""
     nhi = min(cfg.nmax, 4)
     kernel = ktheory.compute_K3(nhi)
     witnesses = []
     for n, dim in kernel.dims().items():
-        componentwise = len(ktheory.k3_component(n).kernel())
+        f = ktheory.k3_component(n)
+        componentwise = f.domain.dim - f.rank()
         if componentwise != dim:
             witnesses.append({"level": n, "pro_kernel_dim": dim,
                               "component_kernel_dim": componentwise})

@@ -31,8 +31,8 @@ from itertools import combinations
 
 from .errors import BoxInstabilityError, EngineError
 from .kaehler import _wedge_insert
-from .linalg import (Echelon, LinearMap, VectorSpaceWithBasis,
-                     column_dependencies, express_in_span, vec_add, vec_scale)
+from .linalg import (Echelon, LinearMap, SpanSolver, VectorSpaceWithBasis,
+                     column_dependencies, vec_add, vec_scale)
 from .monoid import SEGRE_CHARS
 from .verdict import Verdict
 
@@ -547,19 +547,28 @@ def global_sections(kind: str, m: int, n: int) -> GlobalSections:
 # Maps between section spaces.
 
 
-def express_family(kind, m, n, u, vec):
+# Span solvers are shared within one map build through a dict the builder
+# creates and passes down (``solvers``), so each pool is eliminated once per
+# map and freed with it; there is no process-wide solver cache.
+
+
+def express_family(kind, m, n, u, vec, solvers: dict | None = None):
     """Basis coefficients of a flat family vector (keyed by (chart, wedge))
     in the level-n model at character u, or None if it is not a section."""
-    cs = h0_char(kind, m, n, u)
-    index = {lab: i for i, lab in enumerate(cs.flat_labels)}
+    solvers = {} if solvers is None else solvers
+    key = ("family", kind, m, n, u)
+    if key not in solvers:
+        cs = h0_char(kind, m, n, u)
+        index = {lab: i for i, lab in enumerate(cs.flat_labels)}
+        solvers[key] = (index, len(cs.basis),
+                        SpanSolver(list(cs.basis) + list(cs.rel_flat)))
+    index, nbasis, solver = solvers[key]
     if any(lab not in index for lab in vec):
         return None
-    ivec = {index[lab]: cf for lab, cf in vec.items() if cf}
-    pool = list(cs.basis) + list(cs.rel_flat)
-    coeffs = express_in_span(pool, ivec)
+    coeffs = solver.express({index[lab]: cf for lab, cf in vec.items() if cf})
     if coeffs is None:
         return None
-    return coeffs[:len(cs.basis)]
+    return coeffs[:nbasis]
 
 
 def restriction_map(kind: str, m: int, n: int) -> LinearMap:
@@ -570,10 +579,11 @@ def restriction_map(kind: str, m: int, n: int) -> LinearMap:
     dom = hi.space()
     cod = lo.space()
     images = []
+    solvers: dict = {}
     for (u, i) in dom.labels:
         cs = hi.chars[u]
         vec = {cs.flat_labels[j]: c for j, c in cs.basis[i].items()}
-        coeffs = express_family(kind, m, n, u, vec)
+        coeffs = express_family(kind, m, n, u, vec, solvers)
         if coeffs is None:
             raise EngineError("restriction is not defined on a section")
         images.append({cod.index[(u, j)]: cf
@@ -597,6 +607,7 @@ def d_on_sections(kind_src: str, kind_dst: str, m: int, n: int) -> LinearMap:
     dom = src.space()
     cod = dst.space()
     images = []
+    solvers: dict = {}
     for (u, i) in dom.labels:
         cs = src.chars[u]
         out_flat = {}
@@ -606,7 +617,7 @@ def d_on_sections(kind_src: str, kind_dst: str, m: int, n: int) -> LinearMap:
                 key = (C, newT)
                 out_flat[key] = out_flat.get(key, Fraction(0)) + cf * dcf
         out_flat = {k: v for k, v in out_flat.items() if v}
-        coeffs = express_family(kind_dst, m + 1, n, u, out_flat)
+        coeffs = express_family(kind_dst, m + 1, n, u, out_flat, solvers)
         if coeffs is None:
             raise EngineError("d image is not a section of the target model")
         images.append({cod.index[(u, j)]: cf
@@ -614,13 +625,15 @@ def d_on_sections(kind_src: str, kind_dst: str, m: int, n: int) -> LinearMap:
     return LinearMap(dom, cod, images)
 
 
-def pullback_section(kind: str, n: int, mon, wedge):
+def pullback_section(kind: str, n: int, mon, wedge,
+                     solvers: dict | None = None):
     """(character, flat family) of the pullback of x^mon dx_wedge.
 
     Monomials pull back to the characters they define; each generator
     differential expands in chart labels through its chart coordinates.
     The result is expressed per chart in the model ambient, which fails
-    (EngineError) exactly when the pullback is not a section of the model."""
+    (EngineError) exactly when the pullback is not a section of the model.
+    ``solvers`` is the map build's solver dict, as for express_family."""
     u = (0, 0, 0, 0)
     for i, e in enumerate(mon):
         for _ in range(e):
@@ -634,11 +647,15 @@ def pullback_section(kind: str, n: int, mon, wedge):
         d = _minor(rows, range(m), W)
         if d:
             lam[W] = Fraction(d)
+    solvers = {} if solvers is None else solvers
     family = {}
     for C in range(4):
-        amb, _ = chart_labels(kind, m, n, C, u)
-        pool = [dict(wedge_lambda(C, T)) for T in amb]
-        coeffs = express_in_span(pool, lam)
+        key = ("chart", kind, m, n, C, u)
+        if key not in solvers:
+            amb, _ = chart_labels(kind, m, n, C, u)
+            solvers[key] = (amb, SpanSolver([wedge_lambda(C, T) for T in amb]))
+        amb, solver = solvers[key]
+        coeffs = solver.express(lam)
         if coeffs is None:
             raise EngineError("pullback does not restrict to a chart section")
         for T, cf in zip(amb, coeffs):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from . import prosys
 from .encech import (express_family, global_sections, pullback_section,
@@ -52,13 +53,13 @@ K4_WITNESS = ((1, 0, 0, 0), (1, 2, 3))
 
 
 def _pullback_ambient(kind: str, n: int, amb: VectorSpaceWithBasis,
-                      vec: dict) -> dict:
+                      vec: dict, solvers: dict) -> dict:
     """Per-character flat families of the pullback of an ambient form
     vector (index-keyed over ``amb``)."""
     per_char: dict = {}
     for i, c in vec.items():
         mon, wedge = amb.labels[i]
-        u, fam = pullback_section(kind, n, mon, wedge)
+        u, fam = pullback_section(kind, n, mon, wedge, solvers)
         acc = per_char.setdefault(u, {})
         for lab, cf in fam.items():
             x = acc.get(lab, Fraction(0)) + c * cf
@@ -70,12 +71,13 @@ def _pullback_ambient(kind: str, n: int, amb: VectorSpaceWithBasis,
 
 
 def _assert_pullback_kills(kind: str, m: int, n: int,
-                           amb: VectorSpaceWithBasis, vecs) -> None:
+                           amb: VectorSpaceWithBasis, vecs,
+                           solvers: dict) -> None:
     """Well-definedness on quotients: subspace vectors must pull back into
     the relation span of the target model."""
     for vec in vecs:
-        for u, fam in _pullback_ambient(kind, n, amb, vec).items():
-            coeffs = express_family(kind, m, n, u, fam)
+        for u, fam in _pullback_ambient(kind, n, amb, vec, solvers).items():
+            coeffs = express_family(kind, m, n, u, fam, solvers)
             if coeffs is None or any(coeffs):
                 raise EngineError(
                     "pullback does not kill a cone-side relation")
@@ -84,17 +86,19 @@ def _assert_pullback_kills(kind: str, m: int, n: int,
 def _pullback_map(quot, dm, m: int, n: int, kind: str,
                   subspace_vecs) -> LinearMap:
     """Induced map from a quotient of cone m-forms to the flat space of
-    global sections of the model, via coordinate-label lifts."""
+    global sections of the model, via coordinate-label lifts.  One solver
+    dict serves the whole build (see encech.express_family)."""
     amb = dm.ambient(m)
-    _assert_pullback_kills(kind, m, n, amb, subspace_vecs)
+    solvers: dict = {}
+    _assert_pullback_kills(kind, m, n, amb, subspace_vecs, solvers)
     gs = global_sections(kind, m, n)
     cod = gs.space()
     dom = quot.space()
     images = []
     for lab in dom.labels:
         mon, wedge = lab
-        u, fam = pullback_section(kind, n, mon, wedge)
-        coeffs = express_family(kind, m, n, u, fam)
+        u, fam = pullback_section(kind, n, mon, wedge, solvers)
+        coeffs = express_family(kind, m, n, u, fam, solvers)
         if coeffs is None:
             raise EngineError("pullback is not a section of the model")
         images.append({cod.index[(u, j)]: cf
@@ -127,10 +131,11 @@ def _ideal_level_iso(n: int) -> Verdict:
     dom = VectorSpaceWithBasis(mons)
     images = []
     char_of: dict = {}
+    solvers: dict = {}
     for e in mons:
-        u, fam = pullback_section("ideal_power", n, e, ())
+        u, fam = pullback_section("ideal_power", n, e, (), solvers)
         char_of[e] = u
-        coeffs = express_family("ideal_power", 0, n, u, fam)
+        coeffs = express_family("ideal_power", 0, n, u, fam, solvers)
         if coeffs is None:
             raise EngineError("monomial does not define an ideal section")
         images.append({cod.index[(u, j)]: cf
@@ -151,8 +156,8 @@ def _ideal_level_iso(n: int) -> Verdict:
     ok = (dom.dim == cod.dim == rank and grading_ok
           and sections_by_deg == deg_counts)
     # the defining binomial maps to the literal same family on both sides
-    u12, f12 = pullback_section("ideal_power", n, (1, 1, 0, 0), ())
-    u34, f34 = pullback_section("ideal_power", n, (0, 0, 1, 1), ())
+    u12, f12 = pullback_section("ideal_power", n, (1, 1, 0, 0), (), solvers)
+    u34, f34 = pullback_section("ideal_power", n, (0, 0, 1, 1), (), solvers)
     if u12 != u34 or f12 != f34:
         raise EngineError("binomial relation broken by the character map")
     return Verdict(ok, {
@@ -307,9 +312,11 @@ def _hc_target_dim_two_ways(m: int, n: int) -> int:
     return cech
 
 
+@lru_cache(maxsize=None)
 def k3_component(n: int) -> LinearMap:
     """Degree-2 Hodge piece of the truncated cone -> sections of the top
-    cyclic quotient sheaf."""
+    cyclic quotient sheaf.  Cached like qn_module and hodge_quotient, so the
+    `k3` verdict reads the maps compute_K3 built."""
     dm = qn_module(n)
     hq = hodge_quotient(dm, 2)
     return _pullback_map(hq, dm, 2, n, "hc_top", _hodge_subs(dm, 2))
@@ -352,9 +359,10 @@ def report_MT_general(m: int, nmax: int) -> dict:
             gs = global_sections("ideal_power", 0, n)
             cod = gs.space()
             images = []
+            solvers: dict = {}
             for e in mons:
-                u, fam = pullback_section("ideal_power", n, e, ())
-                coeffs = express_family("ideal_power", 0, n, u, fam)
+                u, fam = pullback_section("ideal_power", n, e, (), solvers)
+                coeffs = express_family("ideal_power", 0, n, u, fam, solvers)
                 images.append({cod.index[(u, j)]: cf
                                for j, cf in enumerate(coeffs) if cf})
             g = LinearMap(VectorSpaceWithBasis(mons), cod, images)

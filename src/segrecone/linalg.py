@@ -2,13 +2,14 @@
 
 Everything downstream (normal forms, differential modules, Cech complexes,
 pro-system certificates) reduces to ranks, kernels and canonical quotient
-coordinates of sparse matrices with Fraction entries.  This module is the
-only place elimination is implemented.
+coordinates of sparse rational matrices.  This module is the only place
+elimination is implemented.
 
 Key choices:
 
 * Vectors are dicts mapping hashable, mutually comparable labels to nonzero
-  Fractions.  Labels are ints or tuples; zero coefficients are never stored.
+  rationals, each an ``int`` or a ``Fraction`` and never a ``float``.
+  Labels are ints or tuples; zero coefficients are never stored.
 * Elimination keeps a forward echelon (one row per pivot, pivot = smallest
   label in the row, pivot coefficient 1) instead of a maintained RREF.
   Reducing a vector visits its labels in increasing order via a heap;
@@ -16,8 +17,18 @@ Key choices:
   one pass terminates with a residual supported away from every pivot.  The
   residual is linear in the input and vanishes exactly on the row span,
   which makes it a canonical coordinate vector for the quotient by the span.
-* All arithmetic is exact.  Coefficients are coerced to Fraction on entry so
-  no int/int division can ever produce a float.
+* All arithmetic is exact.  Values are stored as Python ints when they
+  are integral (an integral Fraction is stored as its numerator) and as
+  Fractions otherwise.  Int arithmetic is several times cheaper than
+  Fraction arithmetic, and the engine's matrices are mostly integral
+  (Cech incidence matrices have entries +-1).  The only division,
+  :func:`_exact_div`, never divides two ints with ``/``, so no float can
+  arise.  Value types do not change results: the residual is the unique
+  vector in ``vec + span`` that vanishes on every pivot, so it is the same
+  rational vector whatever mix of ints and Fractions produced it, and
+  ``2 == Fraction(2)`` with equal hashes, so dicts, comparisons and the
+  report's ``jsonable`` (which writes integral Fractions as ints) see no
+  difference.
 """
 
 from __future__ import annotations
@@ -26,17 +37,34 @@ import heapq
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-Vec = dict  # label -> nonzero Fraction
+Vec = dict  # label -> nonzero int or Fraction
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def _exact(c):
+    """``c`` as an exact rational: an int if integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _exact_div(c, lead):
+    """Exact ``c / lead`` for a nonzero ``lead``; never a float."""
+    if lead == 1:
+        return c
+    if lead == -1:
+        return -c
+    return _exact(Fraction(c) / lead)
 
 
 def vec_clean(v: Mapping) -> Vec:
-    """Copy of ``v`` with coefficients coerced to Fraction and zeros dropped."""
+    """Copy of ``v`` with exact coefficients (see :func:`_exact`) and zeros
+    dropped."""
     out = {}
     for k, c in v.items():
-        c = Fraction(c)
+        if type(c) is not int:
+            c = _exact(c)
         if c:
             out[k] = c
     return out
@@ -45,7 +73,7 @@ def vec_clean(v: Mapping) -> Vec:
 def vec_add(u: Mapping, v: Mapping) -> Vec:
     out = dict(u)
     for k, c in v.items():
-        n = out.get(k, _ZERO) + c
+        n = out.get(k, 0) + c
         if n:
             out[k] = n
         else:
@@ -56,7 +84,7 @@ def vec_add(u: Mapping, v: Mapping) -> Vec:
 def vec_sub(u: Mapping, v: Mapping) -> Vec:
     out = dict(u)
     for k, c in v.items():
-        n = out.get(k, _ZERO) - c
+        n = out.get(k, 0) - c
         if n:
             out[k] = n
         else:
@@ -65,14 +93,14 @@ def vec_sub(u: Mapping, v: Mapping) -> Vec:
 
 
 def vec_scale(c, v: Mapping) -> Vec:
-    c = Fraction(c)
+    c = _exact(c)
     if not c:
         return {}
     return {k: c * x for k, x in v.items()}
 
 
 class Echelon:
-    """Forward echelon accumulator for Fraction vectors.
+    """Forward echelon accumulator for rational vectors.
 
     With ``track=True`` every stored row also carries an expression of
     itself as a combination of the vectors originally passed in, keyed by
@@ -118,9 +146,9 @@ class Echelon:
             if row is None:
                 continue
             if _record is not None:
-                _record[k] = _record.get(k, _ZERO) + c
+                _record[k] = _record.get(k, 0) + c
             for kk, cc in row.items():
-                n = v.get(kk, _ZERO) - c * cc
+                n = v.get(kk, 0) - c * cc
                 if n:
                     v[kk] = n
                     if kk not in seen:
@@ -136,7 +164,7 @@ class Echelon:
         out = dict(base)
         for p, t in record.items():
             for tg, c in self._expr[p].items():
-                n = out.get(tg, _ZERO) - t * c
+                n = out.get(tg, 0) - t * c
                 if n:
                     out[tg] = n
                 else:
@@ -162,17 +190,18 @@ class Echelon:
         record: dict = {}
         res = self.reduce(vec, record)
         if not res:
-            return self._combine({tag: _ONE}, record)
+            return self._combine({tag: 1}, record)
         lead = res[min(res)]
-        expr = self._combine({tag: _ONE}, record)
-        self._expr[min(res)] = {tg: c / lead for tg, c in expr.items()}
+        expr = self._combine({tag: 1}, record)
+        self._expr[min(res)] = {tg: _exact_div(c, lead)
+                                for tg, c in expr.items()}
         self._store(res)
         return None
 
     def _store(self, res: Vec) -> None:
         p = min(res)
         lead = res[p]
-        self._rows[p] = {k: c / lead for k, c in res.items()}
+        self._rows[p] = {k: _exact_div(c, lead) for k, c in res.items()}
 
 
 def span_rank(vectors: Iterable[Mapping]) -> int:
@@ -182,15 +211,35 @@ def span_rank(vectors: Iterable[Mapping]) -> int:
     return ech.rank
 
 
+class SpanSolver:
+    """Coefficients of targets in the span of a fixed list of vectors.
+
+    The tracked elimination of the vectors runs once, in the constructor;
+    :meth:`express` only reduces its target against it, so queries never
+    change the solver and a target outside the span leaves it as it was.
+    Keep one solver for as long as its vectors are queried (one map
+    build), not in a process-wide cache.
+    """
+
+    def __init__(self, vectors: Sequence[Mapping]):
+        self._n = len(vectors)
+        self._ech = Echelon(track=True)
+        for i, v in enumerate(vectors):
+            self._ech.add_for_dependency(v, tag=i)
+
+    def express(self, target: Mapping) -> list | None:
+        """Coefficients c with ``target == sum(c[i] * vectors[i])``, or None."""
+        record: dict = {}
+        if self._ech.reduce(target, record):
+            return None
+        neg = self._ech._combine({}, record)
+        return [-neg.get(i, 0) for i in range(self._n)]
+
+
 def express_in_span(vectors: Sequence[Mapping], target: Mapping) -> list | None:
-    """Coefficients c with ``target == sum(c[i] * vectors[i])``, or None."""
-    ech = Echelon(track=True)
-    for i, v in enumerate(vectors):
-        ech.add_for_dependency(v, tag=i)
-    dep = ech.add_for_dependency(target, tag="target")
-    if dep is None:  # target grew the span
-        return None
-    return [-dep.get(i, _ZERO) for i in range(len(vectors))]
+    """Coefficients c with ``target == sum(c[i] * vectors[i])``, or None
+    (one query of a :class:`SpanSolver`)."""
+    return SpanSolver(vectors).express(target)
 
 
 def column_dependencies(columns: Sequence[Mapping]) -> list[Vec]:
@@ -219,7 +268,7 @@ def mat_transpose(rows: Sequence[Mapping]) -> list[Vec]:
     cols: dict = {}
     for i, row in enumerate(rows):
         for j, c in row.items():
-            cols.setdefault(j, {})[i] = Fraction(c)
+            cols.setdefault(j, {})[i] = _exact(c)
     return [cols[j] for j in sorted(cols)]
 
 
@@ -238,18 +287,13 @@ class VectorSpaceWithBasis:
 
     def vector(self, coeffs: Mapping) -> Vec:
         """Label-keyed coefficients -> index-keyed vector."""
-        out = {}
-        for lab, c in coeffs.items():
-            c = Fraction(c)
-            if c:
-                out[self.index[lab]] = c
-        return out
+        return {self.index[lab]: c for lab, c in vec_clean(coeffs).items()}
 
     def basis_vector(self, lab: Hashable) -> Vec:
-        return {self.index[lab]: _ONE}
+        return {self.index[lab]: 1}
 
     def unvector(self, vec: Mapping) -> dict:
-        return {self.labels[i]: Fraction(c) for i, c in vec.items() if c}
+        return {self.labels[i]: _exact(c) for i, c in vec.items() if c}
 
 
 class LinearMap:
@@ -276,7 +320,7 @@ class LinearMap:
             if not c:
                 continue
             for j, x in self.images[i].items():
-                n = out.get(j, _ZERO) + c * x
+                n = out.get(j, 0) + c * x
                 if n:
                     out[j] = n
                 else:

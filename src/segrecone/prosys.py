@@ -16,8 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import EngineError
-from .linalg import (LinearMap, QuotientSpace, VectorSpaceWithBasis,
-                     express_in_span, induced_quotient_map)
+from .linalg import (LinearMap, QuotientSpace, SpanSolver,
+                     VectorSpaceWithBasis, induced_quotient_map)
 from .verdict import Verdict
 
 
@@ -97,9 +97,10 @@ def pro_kernel(f: StrictProMap) -> ProVectorSystem:
     transitions = {}
     for n in range(1, f.nmax):
         imgs = []
+        solver = SpanSolver(vectors[n])
         for v in vectors[n + 1]:
             w = f.source.transitions[n].apply(v)
-            coeffs = express_in_span(vectors[n], w)
+            coeffs = solver.express(w)
             if coeffs is None:
                 raise EngineError("transition does not preserve kernels")
             imgs.append({i: c for i, c in enumerate(coeffs) if c})

@@ -1,13 +1,17 @@
 """Exact sparse linear algebra: echelon forms, kernels, quotients."""
+from contextlib import ExitStack
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+from segrecone import linalg
 from segrecone.linalg import (
     Echelon,
     LinearMap,
     QuotientSpace,
+    SpanSolver,
     VectorSpaceWithBasis,
     column_dependencies,
     express_in_span,
@@ -136,6 +140,35 @@ def test_express_in_span_roundtrip(rows, coeffs):
     got = express_in_span(rows, target)
     assert got is not None
     assert combine(got, rows) == target
+
+
+# -- span solvers -----------------------------------------------------------
+
+@given(mats, st.lists(fracs, min_size=5, max_size=5), vecs)
+def test_span_solver_matches_express_in_span(rows, coeffs, probe):
+    target = combine(coeffs, rows)
+    pool = rows + [target] + rows[:2]  # dependent vectors in the pool
+    solver = SpanSolver(pool)
+    got = solver.express(target)
+    assert got == express_in_span(pool, target)
+    assert combine(got, pool) == target
+    assert solver.express(probe) == express_in_span(pool, probe)
+
+
+def test_span_solver_rejects_a_non_member():
+    solver = SpanSolver([{0: 1, 1: 1}, {0: 2, 1: 2}])
+    assert solver.express({1: 1}) is None
+    assert solver.express({0: 3, 1: 3}) == [3, 0]
+
+
+@given(mats, st.lists(vecs, min_size=1, max_size=4))
+def test_span_solver_answers_repeated_queries_identically(rows, targets):
+    solver = SpanSolver(rows)
+    first = [solver.express(t) for t in targets]
+    # reversed, so every query also follows the others, failed ones included
+    again = [solver.express(t) for t in reversed(targets)][::-1]
+    assert again == first
+    assert first == [SpanSolver(rows).express(t) for t in targets]
 
 
 def test_column_dependencies_annihilate_columns():
@@ -288,3 +321,79 @@ def test_induced_quotient_map_commutes_with_projection():
     for lab in amb_dom.labels:
         v = amb_dom.basis_vector(lab)
         assert f.apply(qdom.class_of(v)) == qcod.class_of(amb_map.apply(v))
+
+
+# -- value types: ints stay ints, nothing becomes a float ------------------
+
+ints = st.integers(-4, 4)
+# all-int, all-Fraction and mixed matrices; zero entries included
+typed_mats = st.sampled_from([ints, fracs, st.one_of(ints, fracs)]).flatmap(
+    lambda entry: st.lists(st.dictionaries(st.integers(0, 4), entry,
+                                           max_size=5), max_size=5))
+
+
+def _fraction_clean(v):
+    out = {}
+    for k, c in v.items():
+        c = F(c)
+        if c:
+            out[k] = c
+    return out
+
+
+def fraction_only():
+    """The kernel with every value coerced to Fraction and every division a
+    Fraction division: the all-Fraction reference for the int fast path."""
+    stack = ExitStack()
+    stack.enter_context(mock.patch.object(linalg, "vec_clean", _fraction_clean))
+    stack.enter_context(mock.patch.object(linalg, "_exact", F))
+    stack.enter_context(mock.patch.object(linalg, "_exact_div",
+                                          lambda c, lead: F(c) / lead))
+    return stack
+
+
+def kernel_results(rows, probe, coeffs, member):
+    ech = Echelon()
+    for r in rows:
+        ech.add(r)
+    f = LinearMap(VectorSpaceWithBasis(range(len(rows))),
+                  VectorSpaceWithBasis(range(5)), rows)
+    q = QuotientSpace(VectorSpaceWithBasis(range(5)), rows)
+    solver = SpanSolver(rows)
+    return {"rows": ech.rows(), "reduce": ech.reduce(probe),
+            "rank": f.rank(), "kernel": f.kernel(), "image": f.apply(dict(enumerate(coeffs[:len(rows)]))),
+            "coords": q.coord_labels, "class": q.class_of(probe),
+            "member": solver.express(member), "probe": solver.express(probe),
+            "one_shot": express_in_span(rows, member)}
+
+
+def assert_exact(value):
+    if isinstance(value, dict):
+        for v in value.values():
+            assert_exact(v)
+    elif isinstance(value, list):
+        for v in value:
+            assert_exact(v)
+    elif value is not None:
+        assert type(value) in (int, Fraction), repr(value)
+
+
+@given(typed_mats, typed_mats, st.lists(ints, min_size=5, max_size=5))
+def test_int_fast_path_matches_fraction_arithmetic(rows, probes, coeffs):
+    probe = probes[0] if probes else {}
+    member = combine(coeffs, rows)
+    got = kernel_results(rows, probe, coeffs, member)
+    with fraction_only():
+        want = kernel_results(rows, probe, coeffs, member)
+    assert got == want
+    assert_exact(got)
+
+
+def test_non_unit_pivot_stores_a_fraction():
+    ech = Echelon()
+    ech.add({0: 2, 1: 1})
+    row = ech.rows()[0]
+    assert row == {0: 1, 1: F(1, 2)}
+    assert type(row[1]) is Fraction
+    assert ech.reduce({1: 3}) == {1: 3}
+    assert ech.reduce({0: 1}) == {1: F(-1, 2)}
