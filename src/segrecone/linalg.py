@@ -63,7 +63,7 @@ def vec_clean(v: Mapping) -> Vec:
     dropped."""
     out = {}
     for k, c in v.items():
-        if type(c) is not int:
+        if type(c) is not int:  # ints, the common case, skip the call
             c = _exact(c)
         if c:
             out[k] = c
