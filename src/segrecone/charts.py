@@ -23,7 +23,7 @@ from itertools import combinations
 
 from .errors import EngineError
 from .kaehler import _wedge_insert, qn_algebra
-from .linalg import (Echelon, column_dependencies, mat_rank, vec_add,
+from .linalg import (Echelon, column_dependencies, span_rank, vec_add,
                      vec_scale)
 from .polyring import mon_deg, monomials_of_degree
 from .verdict import Verdict
@@ -148,12 +148,6 @@ def _j2_slice_echelon(n: int, grade):
                 if w:
                     ech.add(w)
     return ech
-
-
-def _alpha_label(mono):
-    """Image of a ring monomial in An, as (x1-exp, y3-exp, y4-exp)."""
-    e, by, cy = mono
-    return chart_grade(e, by, cy)
 
 
 def _d_rel_ring(n: int, vec):
@@ -299,16 +293,16 @@ def d1_relative_report(n: int, ybound: int = 6) -> Verdict:
         dim_j = j_ech.rank
         j2_ech = _j2_slice_echelon(n, grade)
         dim_j2 = j2_ech.rank
-        d_rank = mat_rank([_d_rel_ring(n, v) for _, v in jvecs])
+        d_rank = span_rank([_d_rel_ring(n, v) for _, v in jvecs])
         dim_jj2_ring = dim_j - dim_j2
         d1_ring = dim_j - d_rank - dim_j2
 
         labels = _model_slice_labels(n, grade)
         rels = _model_relation_vectors(n, grade)
-        rel_rank = mat_rank(rels)
+        rel_rank = span_rank(rels)
         dim_model = len(labels) - rel_rank
         beta_cols = [_model_beta(n, lab) for lab in labels]
-        beta_rank = mat_rank(beta_cols)
+        beta_rank = span_rank(beta_cols)
         ker_beta = len(labels) - beta_rank
         d1_model = ker_beta - rel_rank
 
@@ -359,7 +353,7 @@ def beta_kernel_system(nmax: int, ybound: int = 6) -> Verdict:
             if not hi_labels:
                 continue
             hi_rels = _model_relation_vectors(hi, grade)
-            rel_rank = mat_rank(hi_rels)
+            rel_rank = span_rank(hi_rels)
             lo_ech = Echelon()
             for r in _model_relation_vectors(n, grade):
                 lo_ech.add(r)
@@ -545,7 +539,7 @@ def verify_ker_d_claims(n: int, mmax: int = 3, ybound: int = 4) -> Verdict:
                         continue
                     cols = [_form_d(n, lab) for lab in labels]
                     # d of a reduced form is reduced; rank-nullity on the slice
-                    ker_dims[m] = len(labels) - mat_rank(cols)
+                    ker_dims[m] = len(labels) - span_rank(cols)
                 if ker_dims[0] != 0:
                     ok = False
                     detail[str((0, grade))] = ker_dims[0]
@@ -566,7 +560,7 @@ def verify_ker_d_claims(n: int, mmax: int = 3, ybound: int = 4) -> Verdict:
                         if _DX in wedge or ex == 0:
                             continue
                         imgs.append(_form_d(n, lab))
-                    rank = mat_rank(imgs)
+                    rank = span_rank(imgs)
                     if rank != src or ker_dims[m] != src:
                         ok = False
                         detail[str((m, grade))] = (ker_dims[m], rank, src)
@@ -594,7 +588,7 @@ def verify_relative_forms_collapse(n: int, ybound: int = 6) -> Verdict:
         img = []
         for lab in _model_slice_labels(n, grade):
             img.append(_model_beta(n, lab))
-        coker = len(target) - mat_rank(img)
+        coker = len(target) - span_rank(img)
         # Omega^1_A slice: x-grade must be zero
         expected = 0
         if a == 0:

@@ -19,7 +19,6 @@ from concurrent.futures import ThreadPoolExecutor
 from . import charts, encech, kaehler, ktheory, sheaf
 from . import monoid as monoids
 from .errors import EngineError
-from .polyring import mon_deg
 from .report import (CHECK_IDS, TABLE_IDS, CheckRecord, Config,
                      build_document, build_table_document, render_checks_csv,
                      render_checks_text, render_json, render_table_csv,
@@ -273,11 +272,8 @@ def run_check(check_id: str, cfg: Config) -> CheckRecord:
 
 
 def _table_hilbert(cfg: Config):
-    counts = {}
-    for e in kaehler.qn_algebra(cfg.nmax).basis:
-        counts[mon_deg(e)] = counts.get(mon_deg(e), 0) + 1
-    return ["degree", "dim"], [(j, counts.get(j, 0))
-                               for j in range(cfg.nmax)]
+    dims = kaehler.qn_algebra(cfg.nmax).dims_by_degree()
+    return ["degree", "dim"], list(enumerate(dims))
 
 
 def _table_omega_dims(cfg: Config):

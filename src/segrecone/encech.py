@@ -20,6 +20,11 @@ evaluated character.
 Overlap rings are never hard-coded: for each pair of charts the set of
 invertible base coordinates is derived by bounded reachability and the
 resulting membership rule is proved at runtime before use.
+
+The six sheaf models ("kinds") are defined in one place, the KINDS spec
+table: each entry gives the wedge pool, the fiber floor, the ambient model
+and the role of the d-images.  Every label set, on a chart or an overlap,
+comes from the one walker _labels.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from typing import Callable
 
 from .errors import BoxInstabilityError, EngineError
 from .kaehler import _wedge_insert
@@ -45,10 +51,6 @@ CHART_GENS = (
     ((1, 0, 0, 1), (0, 0, 1, -1), (-1, 1, 0, 0)),
     ((0, 1, 1, 0), (1, -1, 0, 0), (0, 0, -1, 1)),
 )
-
-KINDS = ("omega", "omega_tilde", "image_d", "hc_top", "horizontal",
-         "ideal_power")
-
 
 def in_lattice(u) -> bool:
     return u[0] + u[1] == u[2] + u[3]
@@ -200,16 +202,70 @@ def _gens_sum(C, T):
 
 
 # ---------------------------------------------------------------------------
-# Per-chart and per-overlap label sets for the six sheaf models.
+# The six sheaf models: one spec table, one label walker.
 
 
-def _alpha_floor(kind: str, T) -> int:
-    """Minimal fiber exponent for a label to belong to the model ambient."""
-    if kind in ("omega_tilde", "image_d", "hc_top"):
-        return 1 if 0 not in T else 0
-    if kind == "ideal_power":
-        return 1
+def _all_wedges(m: int):
+    return tuple(combinations(range(3), m))
+
+
+def _base_wedges(m: int):
+    return tuple(combinations((1, 2), m))
+
+
+def _functions(m: int):
+    return ((),) if m == 0 else ()
+
+
+def _no_floor(T) -> int:
     return 0
+
+
+def _reduced_floor(T) -> int:
+    """Reduced forms: a label without the fiber differential needs the
+    fiber coordinate as a factor."""
+    return 0 if 0 in T else 1
+
+
+def _ideal_floor(T) -> int:
+    return 1
+
+
+# d-image roles
+QUOTIENT = "quotient"      # the model is its ambient modulo d-images
+CONSTRAINT = "constraint"  # the model is the span of d-images in its ambient
+
+
+@dataclass(frozen=True)
+class KindSpec:
+    """One sheaf model: the wedge labels T of its m-forms (pool), the least
+    fiber exponent of a label with wedge T (floor, >= 0), the model whose
+    labels span its ambient, and the role of the d-images of that ambient's
+    (m-1)-forms (None, QUOTIENT or CONSTRAINT).  A model with a d-image
+    role has the pool and floor of its ambient."""
+    pool: Callable[[int], tuple]
+    floor: Callable[[tuple], int]
+    ambient: str
+    d_image: str | None
+
+
+# The one place a model kind is defined.
+KINDS = {
+    "omega": KindSpec(_all_wedges, _no_floor, "omega", None),
+    "omega_tilde": KindSpec(_all_wedges, _reduced_floor, "omega_tilde", None),
+    "image_d": KindSpec(_all_wedges, _reduced_floor, "omega_tilde",
+                        CONSTRAINT),
+    "hc_top": KindSpec(_all_wedges, _reduced_floor, "omega_tilde", QUOTIENT),
+    "horizontal": KindSpec(_base_wedges, _no_floor, "horizontal", None),
+    "ideal_power": KindSpec(_functions, _ideal_floor, "ideal_power", None),
+}
+
+
+def _spec(kind: str) -> KindSpec:
+    spec = KINDS.get(kind)
+    if spec is None:
+        raise EngineError(f"unknown model kind {kind!r}")
+    return spec
 
 
 def _rel_threshold(n: int, T) -> int:
@@ -217,46 +273,17 @@ def _rel_threshold(n: int, T) -> int:
     return n - 1 if 0 in T else n
 
 
-def _wedge_pool(kind: str, m: int):
-    if kind == "horizontal":
-        return tuple(T for T in combinations((1, 2), m))
-    if kind == "ideal_power":
-        return ((),) if m == 0 else ()
-    return tuple(combinations(range(3), m))
-
-
-def _ambient_kind(kind: str) -> str:
-    """The model whose labels span the ambient of ``kind``: the d-image and
-    the top cyclic quotient live on the reduced forms."""
-    return "omega_tilde" if kind in ("image_d", "hc_top") else kind
-
-
-def chart_labels(kind: str, m: int, n: int, C: int, u):
-    """(ambient, relations) wedge labels of the model slice on chart C."""
+def _labels(kind: str, m: int, n: int, base: int, F, u):
+    """(ambient, relations) wedge labels of the model slice at u on the ring
+    of chart ``base`` with the base coordinates in F inverted: the chart
+    itself for F = (), an overlap for F from overlap_data."""
+    spec = _spec(kind)
     amb, rel = [], []
-    for T in _wedge_pool(kind, m):
-        co = chart_coords(C, _vadd(u, _vneg(_gens_sum(C, T))))
-        if co is None or co[1] < 0 or co[2] < 0 or co[0] < 0:
-            continue
-        if co[0] < _alpha_floor(kind, T):
-            continue
-        amb.append(T)
-        if co[0] >= _rel_threshold(n, T):
-            rel.append(T)
-    return amb, rel
-
-
-def overlap_labels(kind: str, m: int, n: int, P: int, Q: int, u):
-    """Same as chart_labels but over the overlap ring."""
-    base, F = overlap_data(P, Q)
-    amb, rel = [], []
-    for T in _wedge_pool(kind, m):
+    for T in spec.pool(m):
         co = chart_coords(base, _vadd(u, _vneg(_gens_sum(base, T))))
-        if co is None or co[0] < 0:
+        if co is None or co[0] < spec.floor(T):
             continue
         if any(co[j] < 0 for j in (1, 2) if j not in F):
-            continue
-        if co[0] < _alpha_floor(kind, T):
             continue
         amb.append(T)
         if co[0] >= _rel_threshold(n, T):
@@ -307,14 +334,24 @@ class CharModel:
     pair_ech: dict     # (P, Q) -> Echelon over std wedges
 
 
+def _chart_d_images(kind: str, m: int, n: int, C: int, u) -> list:
+    """Nonzero d-images of the chart-C labels of the model's (m-1)-forms,
+    as vectors over chart wedge labels."""
+    if m < 1:
+        return []
+    amb, _ = _labels(kind, m - 1, n, C, (), u)
+    return [dv for dv in (_chart_d_vec(C, u, T) for T in amb) if dv]
+
+
 def _pair_reduction_echelon(kind, m, n, P, Q, u):
+    spec = _spec(kind)
     ech = Echelon()
-    base, _ = overlap_data(P, Q)
-    _, rel = overlap_labels(_ambient_kind(kind), m, n, P, Q, u)
+    base, F = overlap_data(P, Q)
+    _, rel = _labels(kind, m, n, base, F, u)
     for T in rel:
         ech.add(dict(wedge_lambda(base, T)))
-    if kind == "hc_top" and m >= 1:
-        amb1, _ = overlap_labels("omega_tilde", m - 1, n, P, Q, u)
+    if spec.d_image == QUOTIENT and m >= 1:
+        amb1, _ = _labels(spec.ambient, m - 1, n, base, F, u)
         for T in amb1:
             ech.add(_overlap_d_lambda(base, u, T))
     return ech
@@ -322,36 +359,26 @@ def _pair_reduction_echelon(kind, m, n, P, Q, u):
 
 @lru_cache(maxsize=None)
 def char_model(kind: str, m: int, n: int, u) -> CharModel:
-    if kind not in KINDS:
-        raise EngineError(f"unknown model kind {kind!r}")
+    spec = _spec(kind)
     amb, rel_vecs, sub_ech = [], [], []
     for C in range(4):
-        a, r = chart_labels(_ambient_kind(kind), m, n, C, u)
+        a, r = _labels(kind, m, n, C, (), u)
         amb.append(a)
         rels = [{T: Fraction(1)} for T in r]
-        if kind == "hc_top" and m >= 1:
+        d_images = (_chart_d_images(spec.ambient, m, n, C, u)
+                    if spec.d_image else [])
+        ech = None
+        if spec.d_image == QUOTIENT:
             aset = set(a)
-            amb1, _ = chart_labels("omega_tilde", m - 1, n, C, u)
-            for T1 in amb1:
-                dv = _chart_d_vec(C, u, T1)
-                if not set(dv) <= aset:
-                    raise EngineError("d image leaves the reduced ambient")
-                if dv:
-                    rels.append(dv)
-        rel_vecs.append(rels)
-        if kind == "image_d":
+            if not all(set(dv) <= aset for dv in d_images):
+                raise EngineError("d image leaves the reduced ambient")
+            rels += d_images
+        elif spec.d_image == CONSTRAINT:
             ech = Echelon()
-            for v in rels:
+            for v in rels + d_images:
                 ech.add(dict(v))
-            if m >= 1:
-                amb1, _ = chart_labels("omega_tilde", m - 1, n, C, u)
-                for T1 in amb1:
-                    dv = _chart_d_vec(C, u, T1)
-                    if dv:
-                        ech.add(dv)
-            sub_ech.append(ech)
-        else:
-            sub_ech.append(None)
+        rel_vecs.append(rels)
+        sub_ech.append(ech)
     pair_ech = {}
     for P in range(4):
         for Q in range(P + 1, 4):
@@ -445,7 +472,7 @@ def _char_box(n: int, m: int) -> int:
 
 def _chart_sees(kind: str, m: int, n: int, C: int, u) -> bool:
     """Chart C carries a non-relation ambient label at u."""
-    amb, rel = chart_labels(_ambient_kind(kind), m, n, C, u)
+    amb, rel = _labels(kind, m, n, C, (), u)
     return len(amb) > len(rel)
 
 
@@ -600,6 +627,18 @@ def sections_system(kind: str, m: int, nmax: int):
     return ProVectorSystem(levels, transitions)
 
 
+def _d_family(cs: CharSections, vec: dict) -> dict:
+    """d of a section vector at character cs.u (index-keyed over
+    cs.flat_labels), chart by chart, as a flat family keyed by (chart,
+    wedge)."""
+    out = {}
+    for j, cf in vec.items():
+        C, T = cs.flat_labels[j]
+        for newT, dcf in _chart_d_vec(C, cs.u, T).items():
+            out[(C, newT)] = out.get((C, newT), 0) + cf * dcf
+    return {k: v for k, v in out.items() if v}
+
+
 def d_on_sections(kind_src: str, kind_dst: str, m: int, n: int) -> LinearMap:
     """The de Rham map on global sections, chart by chart."""
     src = global_sections(kind_src, m, n)
@@ -610,14 +649,8 @@ def d_on_sections(kind_src: str, kind_dst: str, m: int, n: int) -> LinearMap:
     solvers: dict = {}
     for (u, i) in dom.labels:
         cs = src.chars[u]
-        out_flat = {}
-        for j, cf in cs.basis[i].items():
-            C, T = cs.flat_labels[j]
-            for newT, dcf in _chart_d_vec(C, u, T).items():
-                key = (C, newT)
-                out_flat[key] = out_flat.get(key, Fraction(0)) + cf * dcf
-        out_flat = {k: v for k, v in out_flat.items() if v}
-        coeffs = express_family(kind_dst, m + 1, n, u, out_flat, solvers)
+        coeffs = express_family(kind_dst, m + 1, n, u,
+                                _d_family(cs, cs.basis[i]), solvers)
         if coeffs is None:
             raise EngineError("d image is not a section of the target model")
         images.append({cod.index[(u, j)]: cf
@@ -652,7 +685,7 @@ def pullback_section(kind: str, n: int, mon, wedge,
     for C in range(4):
         key = ("chart", kind, m, n, C, u)
         if key not in solvers:
-            amb, _ = chart_labels(kind, m, n, C, u)
+            amb, _ = _labels(kind, m, n, C, (), u)
             solvers[key] = (amb, SpanSolver([wedge_lambda(C, T) for T in amb]))
         amb, solver = solvers[key]
         coeffs = solver.express(lam)
@@ -719,7 +752,14 @@ def verify_H0_surjection(m: int, n: int) -> Verdict:
 
 def verify_alg_surjection(i: int, n: int) -> Verdict:
     """Horizontal sections and d-images of lower forms span the sections of
-    the m-forms on the thickening; for i >= 3 the quotient is zero."""
+    the m-forms on the thickening; for i >= 3 the quotient is zero.
+
+    For i >= 3 the horizontal pool combinations((1, 2), i) is empty, so the
+    echelon at each character holds only the relations and the d-images of
+    the (i-1)-form sections, and a character is uncovered exactly when some
+    section of Omega^i there is not a d-image modulo relations.  So the
+    target is zero (``target_zero``) exactly when no character is
+    uncovered."""
     if i < 1:
         raise EngineError("form degree must be >= 1")
     from .sheaf import coh_closed_form
@@ -732,8 +772,7 @@ def verify_alg_surjection(i: int, n: int) -> Verdict:
                                "dims": horiz.dims_by_xdeg(),
                                "expected": expected})
     uncovered = []
-    support = set(omega.chars)
-    for u in sorted(support):
+    for u in sorted(omega.chars):
         om_cs = h0_char("omega", i, n, u)
         ech = Echelon()
         for rv in om_cs.rel_flat:
@@ -753,13 +792,7 @@ def verify_alg_surjection(i: int, n: int) -> Verdict:
             add_family({h_cs.flat_labels[j]: cf for j, cf in v.items()})
         lo_cs = h0_char("omega", i - 1, n, u)
         for v in lo_cs.basis:
-            out = {}
-            for j, cf in v.items():
-                C, T = lo_cs.flat_labels[j]
-                for newT, dcf in _chart_d_vec(C, u, T).items():
-                    out[(C, newT)] = out.get((C, newT),
-                                             Fraction(0)) + cf * dcf
-            add_family({k: v2 for k, v2 in out.items() if v2})
+            add_family(_d_family(lo_cs, v))
         for v in om_cs.basis:
             if not ech.contains(dict(v)):
                 uncovered.append(u)
@@ -772,34 +805,8 @@ def verify_alg_surjection(i: int, n: int) -> Verdict:
         "uncovered_characters": [list(u) for u in uncovered],
     }
     if i >= 3:
-        # the target must vanish outright: d alone covers everything
-        details["target_zero"] = not uncovered and _target_zero(i, n)
-        return Verdict(not uncovered and details["target_zero"], details)
+        details["target_zero"] = not uncovered
     return Verdict(not uncovered, details)
-
-
-def _target_zero(i: int, n: int) -> bool:
-    """Sections of Omega^i are entirely d-images of Omega^{i-1} sections."""
-    omega = global_sections("omega", i, n)
-    for u in sorted(omega.chars):
-        om_cs = h0_char("omega", i, n, u)
-        ech = Echelon()
-        for rv in om_cs.rel_flat:
-            ech.add(dict(rv))
-        index = {lab: j for j, lab in enumerate(om_cs.flat_labels)}
-        lo_cs = h0_char("omega", i - 1, n, u)
-        for v in lo_cs.basis:
-            out = {}
-            for j, cf in v.items():
-                C, T = lo_cs.flat_labels[j]
-                for newT, dcf in _chart_d_vec(C, u, T).items():
-                    out[(C, newT)] = out.get((C, newT),
-                                             Fraction(0)) + cf * dcf
-            ech.add({index[k]: v2 for k, v2 in out.items() if v2})
-        for v in om_cs.basis:
-            if not ech.contains(dict(v)):
-                return False
-    return True
 
 
 def chart_generator_consistency() -> Verdict:

@@ -300,27 +300,20 @@ def omega_transition(m: int, n: int, tensor: bool = False) -> LinearMap:
     return induced_quotient_map(src.quot(m), dst.quot(m), apply_amb)
 
 
-@dataclass
-class HodgePiece:
-    """Top Hodge piece HC^{(m)}_m = Omega^m / d(Omega^{m-1}) of an algebra."""
-    dim: int
-    quotient: QuotientSpace
-    projection: LinearMap  # from Omega^m classes to the piece
-
-
-def hodge_quotient(dm: DifferentialModule, m: int) -> QuotientSpace:
+def hodge_subspace(dm: DifferentialModule, m: int) -> list:
+    """Ambient vectors spanning the relations of Omega^m plus d(Omega^{m-1}):
+    the subspace the top Hodge piece quotients by."""
     subs = list(dm.rels(m))
     if m >= 1:
         amb = dm.ambient(m - 1)
         subs += [dm.ambient_d(m - 1, amb.basis_vector(lab))
                  for lab in dm.quot(m - 1).coord_labels]
-    return QuotientSpace(dm.ambient(m), subs)
+    return subs
 
 
-def hodge_piece_hc(dm: DifferentialModule, m: int) -> HodgePiece:
-    hq = hodge_quotient(dm, m)
-    proj = induced_quotient_map(dm.quot(m), hq, lambda v: v)
-    return HodgePiece(hq.dim, hq, proj)
+def hodge_quotient(dm: DifferentialModule, m: int) -> QuotientSpace:
+    """Top Hodge piece HC^{(m)}_m = Omega^m / d(Omega^{m-1}) of an algebra."""
+    return QuotientSpace(dm.ambient(m), hodge_subspace(dm, m))
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,4 @@
-"""Assembly of the finite-level K-theory reductions.
+"""Finite-level certificates of the K-theory reductions.
 
 The reduced K-groups of the cone algebra are controlled, weight by weight,
 by pro-systems built from truncated de Rham data on the cone and global
@@ -16,12 +16,12 @@ pull back to lattice characters) and certifies:
 Every certificate is finite-level; pro-statements carry explicit windows.
 The identification of relative K-theory with relative cyclic homology for
 the cone and its blow-up is consumed as an external hypothesis and is
-recorded verbatim in every report this module emits.
+recorded verbatim in the details of the weight-one and weight-four
+verdicts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -29,8 +29,8 @@ from . import prosys
 from .encech import (express_family, global_sections, pullback_section,
                      sections_system, verify_H0_surjection)
 from .errors import CrossCheckError, EngineError
-from .kaehler import (OMEGA_TOP, hodge_quotient, hodge_transition,
-                      omega4_cone_check, omega_transition, qn_algebra,
+from .kaehler import (OMEGA_TOP, hodge_quotient, hodge_subspace,
+                      hodge_transition, omega_transition, qn_algebra,
                       qn_module)
 from .linalg import LinearMap, VectorSpaceWithBasis, induced_quotient_map
 from .polyring import mon_deg
@@ -104,17 +104,6 @@ def _pullback_map(quot, dm, m: int, n: int, kind: str,
         images.append({cod.index[(u, j)]: cf
                        for j, cf in enumerate(coeffs) if cf})
     return LinearMap(dom, cod, images)
-
-
-def _hodge_subs(dm, m: int) -> list:
-    """The subspace the top Hodge piece quotients by (same construction
-    as hodge_quotient)."""
-    subs = list(dm.rels(m))
-    if m >= 1:
-        amb = dm.ambient(m - 1)
-        subs += [dm.ambient_d(m - 1, amb.basis_vector(lab))
-                 for lab in dm.quot(m - 1).coord_labels]
-    return subs
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +308,7 @@ def k3_component(n: int) -> LinearMap:
     `k3` verdict reads the maps compute_K3 built."""
     dm = qn_module(n)
     hq = hodge_quotient(dm, 2)
-    return _pullback_map(hq, dm, 2, n, "hc_top", _hodge_subs(dm, 2))
+    return _pullback_map(hq, dm, 2, n, "hc_top", hodge_subspace(dm, 2))
 
 
 def compute_K3(nmax: int) -> prosys.ProVectorSystem:
@@ -333,102 +322,3 @@ def compute_K3(nmax: int) -> prosys.ProVectorSystem:
     components = {n: k3_component(n) for n in range(1, nmax + 1)}
     fmap = prosys.StrictProMap(source, target, components)
     return prosys.pro_kernel(fmap)
-
-
-# ---------------------------------------------------------------------------
-# Boundary data of the two-term reduction.
-
-
-def report_MT_general(m: int, nmax: int) -> dict:
-    """Dims, per level, of the two boundary terms in weight m: the cokernel
-    of the map to sheaf sections in degree m, and the kernel one degree
-    down.  For m = 2 these bracket the middle group; the extension itself
-    is not resolved here."""
-    if not 1 <= m <= 4:
-        raise EngineError("weight must be in 1..4")
-    left = {}
-    right = {}
-    for n in range(1, nmax + 1):
-        dm = qn_module(n)
-        hq = hodge_quotient(dm, m)
-        f = _pullback_map(hq, dm, m, n, "hc_top", _hodge_subs(dm, m))
-        left[n] = f.codomain.dim - f.rank()
-        if m == 1:
-            alg = qn_algebra(n)
-            mons = [e for e in alg.basis if mon_deg(e) >= 1]
-            gs = global_sections("ideal_power", 0, n)
-            cod = gs.space()
-            images = []
-            solvers: dict = {}
-            for e in mons:
-                u, fam = pullback_section("ideal_power", n, e, (), solvers)
-                coeffs = express_family("ideal_power", 0, n, u, fam, solvers)
-                images.append({cod.index[(u, j)]: cf
-                               for j, cf in enumerate(coeffs) if cf})
-            g = LinearMap(VectorSpaceWithBasis(mons), cod, images)
-        else:
-            hq_low = hodge_quotient(dm, m - 1)
-            g = _pullback_map(hq_low, dm, m - 1, n, "hc_top",
-                              _hodge_subs(dm, m - 1))
-        right[n] = len(g.kernel())
-    return {
-        "m": m, "nmax": nmax,
-        "left_term_dims": left,
-        "right_term_dims": right,
-        "hypotheses": list(HYPOTHESES),
-    }
-
-
-# ---------------------------------------------------------------------------
-# The assembled report.
-
-
-@dataclass
-class KReport:
-    nmax: int
-    window: int
-    verdicts: dict = field(default_factory=dict)
-    tables: dict = field(default_factory=dict)
-    hypotheses: tuple = HYPOTHESES
-
-    def to_dict(self) -> dict:
-        return {
-            "nmax": self.nmax,
-            "window": self.window,
-            "verdicts": {k: {"ok": v.ok, "details": v.details,
-                             "witness": v.witness}
-                         for k, v in sorted(self.verdicts.items())},
-            "tables": self.tables,
-            "hypotheses": list(self.hypotheses),
-        }
-
-
-def build_kreport(nmax: int, window: int) -> KReport:
-    rep = KReport(nmax, window)
-    rep.verdicts["weight1"] = verify_K1(nmax, window)
-    k4_system, k4_verdict = compute_K4(nmax)
-    rep.verdicts["weight4"] = k4_verdict
-    rep.verdicts["weight5plus"] = verify_K5plus_inputs(nmax)
-    rep.verdicts["top_form_cone"] = omega4_cone_check(nmax)
-    k3_nmax = min(nmax, 4)
-    k3_system = compute_K3(k3_nmax)
-    dims_q = {n: len(qn_algebra(n).basis) for n in range(1, nmax + 1)}
-    omega_dims = {n: {m: qn_module(n).dim(m) for m in range(5)}
-                  for n in range(1, nmax + 1)}
-    hodge_dims = {n: {m: hodge_quotient(qn_module(n), m).dim
-                      for m in range(5)}
-                  for n in range(1, nmax + 1)}
-    tilde_dims = {n: {m: global_sections("omega_tilde", m, n).dim
-                      for m in range(5)}
-                  for n in range(1, min(nmax, 5) + 1)}
-    rep.tables = {
-        "dim_Q": dims_q,
-        "dim_omega": omega_dims,
-        "dim_hodge_top": hodge_dims,
-        "dim_tilde_sections": tilde_dims,
-        "k4_system_dims": k4_system.dims(),
-        "k4_transition_ranks": {n: k4_system.transitions[n].rank()
-                                for n in range(1, nmax)},
-        "k3_system_dims": k3_system.dims(),
-    }
-    return rep

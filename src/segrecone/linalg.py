@@ -81,17 +81,6 @@ def vec_add(u: Mapping, v: Mapping) -> Vec:
     return out
 
 
-def vec_sub(u: Mapping, v: Mapping) -> Vec:
-    out = dict(u)
-    for k, c in v.items():
-        n = out.get(k, 0) - c
-        if n:
-            out[k] = n
-        else:
-            out.pop(k, None)
-    return out
-
-
 def vec_scale(c, v: Mapping) -> Vec:
     c = _exact(c)
     if not c:
@@ -257,19 +246,6 @@ def column_dependencies(columns: Sequence[Mapping]) -> list[Vec]:
             deps.append(dep)
     assert len(deps) + ech.rank == len(columns)
     return deps
-
-
-def mat_rank(rows: Sequence[Mapping]) -> int:
-    return span_rank(rows)
-
-
-def mat_transpose(rows: Sequence[Mapping]) -> list[Vec]:
-    """Transpose of a list of int-keyed row dicts (result keyed by row index)."""
-    cols: dict = {}
-    for i, row in enumerate(rows):
-        for j, c in row.items():
-            cols.setdefault(j, {})[i] = _exact(c)
-    return [cols[j] for j in sorted(cols)]
 
 
 class VectorSpaceWithBasis:

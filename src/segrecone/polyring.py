@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 Monomial = tuple  # exponent vectors, one entry per variable
 
@@ -472,10 +472,3 @@ def truncated_quotient(ideal_gens: Sequence[Polynomial], n: int,
               if not any(mon_div(m, lm) is not None for lm in leads)]
     basis.sort(key=lambda g: order.key(g.leading(order)[0]))
     return FiniteAlgebra(nvars, GroebnerBasis(order, basis), level=n)
-
-
-def hilbert_function(alg: FiniteAlgebra) -> list[int]:
-    """Basis counts per total degree; requires a homogeneous ideal."""
-    if not all(g.is_homogeneous() for g in alg.gb):
-        raise ValueError("hilbert_function requires a homogeneous ideal")
-    return alg.dims_by_degree()

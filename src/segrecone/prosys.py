@@ -13,8 +13,6 @@ nmax and the window next to every verdict.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import EngineError
 from .linalg import (LinearMap, QuotientSpace, SpanSolver,
                      VectorSpaceWithBasis, induced_quotient_map)
@@ -51,15 +49,6 @@ class ProVectorSystem:
         for n in range(n_from - 1, n_to - 1, -1):
             out = self.transitions[n].compose(out)
         return out
-
-
-def reindex_shift(s: ProVectorSystem) -> ProVectorSystem:
-    """Drop level 1: new level n is old level n+1 (for shifted strict maps)."""
-    if s.nmax < 2:
-        raise EngineError("cannot shift a one-level system")
-    levels = {n: s.levels[n + 1] for n in range(1, s.nmax)}
-    transitions = {n: s.transitions[n + 1] for n in range(1, s.nmax - 1)}
-    return ProVectorSystem(levels, transitions)
 
 
 class StrictProMap:

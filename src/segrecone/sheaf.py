@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import BoxInstabilityError, EngineError
-from .linalg import mat_rank
+from .linalg import span_rank
 from .monoid import SEGRE_CHARS
 from .verdict import Verdict
 
@@ -112,7 +112,7 @@ def _char_cohomology(p, q, a, b):
                 sign = (-1) ** T.index(extra)
                 col[index[k + 1][T]] = col.get(index[k + 1][T], 0) + sign
             cols.append({kk: vv for kk, vv in col.items() if vv})
-        ranks.append(mat_rank(cols))
+        ranks.append(span_rank(cols))
     hs = []
     for k in range(4):
         dim = len(levels[k])
@@ -294,7 +294,7 @@ def euler_identification_check() -> Verdict:
         if (p, q) not in index:
             return Verdict(False, {"reason": "character outside H0(O(1,1))"})
         cols.append({index[(p, q)]: 1})
-    rank = mat_rank(cols)
+    rank = span_rank(cols)
     h1_o = coh_cech_oracle(LineBundle(0, 0), 1)
     h0_o11 = coh_cech_oracle(LineBundle(1, 1), 0)
     ok = rank == 4 and h1_o == 0 and h0_o11 == 4

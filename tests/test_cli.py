@@ -228,6 +228,21 @@ def test_table_k3_system(capsys):
     assert t["rows"] == [[1, 0], [2, 4], [3, 13]]
 
 
+def test_tables_at_nmax_three_carry_the_k_report_numbers(capsys):
+    def rows(table_id):
+        code, out, _ = run(capsys, "table", table_id, "--nmax", "3",
+                           "--window", "2")
+        assert code == 0
+        return json.loads(out)["table"]["rows"]
+
+    assert rows("hilbert") == [[0, 1], [1, 4], [2, 9]]
+    k4 = rows("k4-system")
+    assert {n: dim for n, dim, _, _ in k4} == {1: 0, 2: 1, 3: 1}
+    assert {n: rank for n, _, rank, _ in k4 if n < 3} == {1: 0, 2: 1}
+    assert dict(rows("k3-system")) == {1: 0, 2: 4, 3: 13}
+    assert rows("omega-dims")[1] == [2, 5, 10, 10, 5, 1]
+
+
 def test_unknown_table_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["table", "nope"])

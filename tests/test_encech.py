@@ -228,13 +228,13 @@ def _box_scan(kind, m, n):
     n + m + BOX_PAD + 2: the enumeration that global_sections prunes to
     the characters every chart sees."""
     pad = n + m + encech.BOX_PAD + 2
+    spec = encech.KINDS[kind]
     found = set()
     for C in range(4):
         v, g1, g2 = CHART_GENS[C]
-        for T in encech._wedge_pool(kind, m):
+        for T in spec.pool(m):
             base = encech._gens_sum(C, T)
-            for alpha in range(encech._alpha_floor(kind, T),
-                               encech._rel_threshold(n, T)):
+            for alpha in range(spec.floor(T), encech._rel_threshold(n, T)):
                 for beta in range(pad + 4):
                     for gamma in range(pad + 4):
                         u = tuple(s + alpha * x + beta * y + gamma * z
@@ -242,6 +242,18 @@ def _box_scan(kind, m, n):
                         if max(map(abs, u)) <= pad:
                             found.add(u)
     return found
+
+
+def test_unknown_kind_is_an_engine_error():
+    with pytest.raises(EngineError):
+        global_sections("omega_hat", 1, 2)
+
+
+def test_d_image_kinds_share_the_labels_of_their_ambient():
+    for spec in encech.KINDS.values():
+        ambient = encech.KINDS[spec.ambient]
+        assert (spec.pool, spec.floor) == (ambient.pool, ambient.floor)
+        assert spec.d_image or spec is ambient
 
 
 # every (kind, m) the engine evaluates, for n <= 3; the H0-surjection

@@ -1,0 +1,38 @@
+"""Every name a package module imports is used in that module.
+
+`__init__` is exempt: its imports are the package's re-exports.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+import segrecone
+
+MODULES = sorted(p for p in Path(segrecone.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_the_scan_finds_an_unused_import():
+    assert unused_imports("import os\nfrom x import y as z\nz()\n") == \
+        ["os (line 1)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_module_uses_every_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -25,7 +25,6 @@ from segrecone.kaehler import (
     OMEGA_TOP,
     AlgebraPresentation,
     build_differential_module,
-    hodge_piece_hc,
     hodge_quotient,
     hodge_transition,
     omega4_cone_check,
@@ -35,7 +34,7 @@ from segrecone.kaehler import (
     qn_algebra,
     qn_module,
 )
-from segrecone.linalg import vec_add
+from segrecone.linalg import induced_quotient_map, vec_add
 
 F = Fraction
 
@@ -144,11 +143,12 @@ def test_hodge_quotient_dimensions():
 
 
 def test_hodge_piece_projection():
-    piece = hodge_piece_hc(qn_module(2), 3)
+    dm = qn_module(2)
+    piece = hodge_quotient(dm, 3)
     assert piece.dim == 1
-    assert piece.projection.rank() == 1
-    piece0 = hodge_piece_hc(qn_module(2), 4)
-    assert piece0.dim == 0
+    projection = induced_quotient_map(dm.quot(3), piece, lambda v: v)
+    assert projection.rank() == 1
+    assert hodge_quotient(dm, 4).dim == 0
 
 
 def test_hodge_transition_surjective():

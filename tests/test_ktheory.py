@@ -1,4 +1,4 @@
-"""Weight-graded towers: levelwise dims, witnesses, and report assembly.
+"""Weight-graded towers: levelwise dims and witnesses.
 
 Hand corroboration pinned here:
 
@@ -19,12 +19,10 @@ from segrecone.kaehler import hodge_quotient, qn_module
 from segrecone.ktheory import (
     HYPOTHESES,
     K4_WITNESS,
-    build_kreport,
     compute_K3,
     compute_K4,
     k1_form_map,
     k3_component,
-    report_MT_general,
     verify_K1,
     verify_K5plus_inputs,
 )
@@ -118,29 +116,3 @@ def test_weight_three_kernel_matches_componentwise_kernels():
     for n in (1, 2, 3):
         assert kernel.levels[n].dim == len(k3_component(n).kernel())
 
-
-# -- boundary terms and the assembled report ----------------------------------
-
-def test_weight_one_boundary_terms_vanish():
-    rep = report_MT_general(1, 3)
-    assert rep["left_term_dims"] == {1: 0, 2: 0, 3: 0}
-    assert rep["right_term_dims"] == {1: 0, 2: 0, 3: 0}
-    with pytest.raises(EngineError):
-        report_MT_general(0, 3)
-
-
-def test_build_kreport_structure():
-    rep = build_kreport(3, 2)
-    assert set(rep.verdicts) == {"weight1", "weight4", "weight5plus",
-                                 "top_form_cone"}
-    assert all(v.ok for v in rep.verdicts.values())
-    t = rep.tables
-    assert t["dim_Q"] == {1: 1, 2: 5, 3: 14}
-    assert t["k4_system_dims"] == {1: 0, 2: 1, 3: 1}
-    assert t["k4_transition_ranks"] == {1: 0, 2: 1}
-    assert t["k3_system_dims"] == {1: 0, 2: 4, 3: 13}
-    assert t["dim_omega"][2] == {0: 5, 1: 10, 2: 10, 3: 5, 4: 1}
-    d = rep.to_dict()
-    assert d["nmax"] == 3 and d["window"] == 2
-    assert list(d["verdicts"]) == sorted(d["verdicts"])
-    assert d["hypotheses"] == list(HYPOTHESES)

@@ -12,7 +12,6 @@ from segrecone.polyring import (
     MonomialOrder,
     Polynomial,
     groebner,
-    hilbert_function,
     mon_deg,
     mon_div,
     mon_lcm,
@@ -163,7 +162,7 @@ def test_finite_algebra_laws():
 
 def test_hilbert_function_of_homogeneous_quotient():
     alg = truncated_quotient([CONE_REL], 3)
-    assert hilbert_function(alg) == [1, 4, 9]
+    assert alg.dims_by_degree() == [1, 4, 9]
 
 
 def test_nf_terms_linear_over_basis():

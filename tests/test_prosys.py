@@ -12,7 +12,6 @@ from segrecone.prosys import (
     certify_pro_zero,
     pro_cokernel,
     pro_kernel,
-    reindex_shift,
 )
 
 F = Fraction
@@ -67,15 +66,6 @@ def test_dims_and_composites():
     assert s.composite(2, 2).apply({0: F(1)}) == {0: F(1)}
     with pytest.raises(EngineError):
         s.composite(1, 2)
-
-
-def test_reindex_shift():
-    s = constant_system(3, 1, identity_images(1))
-    t = reindex_shift(s)
-    assert t.nmax == 2
-    assert t.levels[1] is s.levels[2]
-    with pytest.raises(EngineError):
-        reindex_shift(constant_system(1, 1, identity_images(1)))
 
 
 # -- pro-zero certificates ----------------------------------------------------
