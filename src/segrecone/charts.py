@@ -18,13 +18,11 @@ forms on An.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import EngineError
 from .kaehler import _wedge_insert, qn_algebra
-from .linalg import (Echelon, column_dependencies, span_rank, vec_add,
-                     vec_scale)
+from .linalg import Echelon, column_dependencies, span_rank, vec_axpy
 from .polyring import mon_deg, monomials_of_degree
 from .verdict import Verdict
 
@@ -51,7 +49,7 @@ def d1_base_report(n: int) -> Verdict:
     for j in range(n):
         img = {}
         if n + j - 1 <= n - 1:
-            img[n + j - 1] = Fraction(n + j)
+            img[n + j - 1] = n + j
         cols.append(img)
     kernel = column_dependencies(cols)
     kernel_exponents = sorted(n + j for dep in kernel for j in dep
@@ -85,35 +83,30 @@ def _ring_slice_monomials(n: int, grade):
     return out
 
 
-def _ring_mul(n: int, mono, e_extra, dy3=0, dy4=0, coeff=Fraction(1)):
+def _ring_mul(n: int, mono, e_extra, dy3=0, dy4=0):
     """Multiply a ring monomial by x^e_extra * y3^dy3 * y4^dy4, returning a
     vector over ring-monomial labels (normal form in Qn on the x-part)."""
     e, by, cy = mono
-    alg = qn_algebra(n)
     prod = tuple(e[i] + e_extra[i] for i in range(4))
-    out = {}
-    for mon, cf in alg.nf_mon(prod).items():
-        lab = (mon, by + dy3, cy + dy4)
-        out[lab] = out.get(lab, Fraction(0)) + coeff * cf
-    return {k: v for k, v in out.items() if v}
+    return {(mon, by + dy3, cy + dy4): cf
+            for mon, cf in qn_algebra(n).nf_mon(prod).items()}
 
 
 # generators g_i = x_i - alpha(x_i), i = 2, 3, 4, as lists of
 # (coeff, e_extra, dy3, dy4) acting by multiplication
 _G_TERMS = {
-    2: ((Fraction(1), (0, 1, 0, 0), 0, 0), (Fraction(-1), (1, 0, 0, 0), 1, 1)),
-    3: ((Fraction(1), (0, 0, 1, 0), 0, 0), (Fraction(-1), (1, 0, 0, 0), 1, 0)),
-    4: ((Fraction(1), (0, 0, 0, 1), 0, 0), (Fraction(-1), (1, 0, 0, 0), 0, 1)),
+    2: ((1, (0, 1, 0, 0), 0, 0), (-1, (1, 0, 0, 0), 1, 1)),
+    3: ((1, (0, 0, 1, 0), 0, 0), (-1, (1, 0, 0, 0), 1, 0)),
+    4: ((1, (0, 0, 0, 1), 0, 0), (-1, (1, 0, 0, 0), 0, 1)),
 }
 
 _G_GRADE = {2: (1, 1, 1), 3: (1, 1, 0), 4: (1, 0, 1)}
 
 
-def _apply_terms(n, mono, terms, coeff=Fraction(1)):
+def _apply_terms(n, mono, terms):
     out = {}
     for cf, e_extra, dy3, dy4 in terms:
-        piece = _ring_mul(n, mono, e_extra, dy3, dy4, coeff * cf)
-        out = vec_add(out, piece)
+        vec_axpy(out, cf, _ring_mul(n, mono, e_extra, dy3, dy4))
     return out
 
 
@@ -144,7 +137,7 @@ def _j2_slice_echelon(n: int, grade):
                 v = _apply_terms(n, mono, _G_TERMS[i])
                 w = {}
                 for lab, cf in v.items():
-                    w = vec_add(w, _apply_terms(n, lab, _G_TERMS[j], cf))
+                    vec_axpy(w, cf, _apply_terms(n, lab, _G_TERMS[j]))
                 if w:
                     ech.add(w)
     return ech
@@ -155,17 +148,10 @@ def _d_rel_ring(n: int, vec):
     Returns a vector over labels (slot, an_monomial), slot in {3, 4}."""
     out = {}
     for (e, by, cy), cf in vec.items():
-        if by:
-            lab = (3, (chart_grade(e, by - 1, cy)))
-            a = lab[1][0]
-            if a <= n - 1:
-                out[lab] = out.get(lab, Fraction(0)) + cf * by
-        if cy:
-            lab = (4, (chart_grade(e, by, cy - 1)))
-            a = lab[1][0]
-            if a <= n - 1:
-                out[lab] = out.get(lab, Fraction(0)) + cf * cy
-    return {k: v for k, v in out.items() if v}
+        if mon_deg(e) <= n - 1:
+            vec_axpy(out, cf, {(3, chart_grade(e, by - 1, cy)): by,
+                               (4, chart_grade(e, by, cy - 1)): cy})
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -193,25 +179,24 @@ def _an_monomials(n: int, grade):
     return []
 
 
-def _model_scale(n, label, s_extra, by_extra, cy_extra, coeff):
+def _model_scale(n, label, s_extra, by_extra, cy_extra):
     s, by, cy, i = label
     if s + s_extra >= n:
         return {}
-    return {(s + s_extra, by + by_extra, cy + cy_extra, i): coeff}
+    return {(s + s_extra, by + by_extra, cy + cy_extra, i): 1}
 
 
 def _model_relation_vectors(n: int, grade):
     """Slice of J_n: multiples of the cone syzygy
     x1 dx2 - y4 x1 dx3 - y3 x1 dx4 and of alpha(d mu) for deg-n monomials mu."""
     vecs = []
-    syz = {2: (Fraction(1), 1, 0, 0), 3: (Fraction(-1), 1, 0, 1),
-           4: (Fraction(-1), 1, 1, 0)}
+    syz = {2: (1, 1, 0, 0), 3: (-1, 1, 0, 1), 4: (-1, 1, 1, 0)}
     for u in _an_monomials(n, _grade_sub(grade, (2, 1, 1))):
         v = {}
         for i, (cf, ds, dby, dcy) in syz.items():
             base = (0, 0, 0, i)
-            v = vec_add(v, _model_scale(
-                n, base, u[0] + ds, u[1] + dby, u[2] + dcy, cf))
+            vec_axpy(v, cf, _model_scale(
+                n, base, u[0] + ds, u[1] + dby, u[2] + dcy))
         if v:
             vecs.append(v)
     for mu in monomials_of_degree(4, n):
@@ -226,9 +211,7 @@ def _model_relation_vectors(n: int, grade):
                 pa, pb, pc = chart_grade(partial)
                 s, by, cy = (u[0] + pa, u[1] + pb, u[2] + pc)
                 if s <= n - 1:
-                    lab = (s, by, cy, i)
-                    v[lab] = v.get(lab, Fraction(0)) + Fraction(mu[i - 1])
-            v = {k: c for k, c in v.items() if c}
+                    v[(s, by, cy, i)] = mu[i - 1]
             if v:
                 vecs.append(v)
     return vecs
@@ -240,25 +223,24 @@ def _model_beta(n: int, label):
     s, by, cy, i = label
     out = {}
 
-    def put(slot, a, b, c, cf):
+    def put(slot, a, b, c):
         if 0 <= a <= n - 1 and b >= 0 and c >= 0:
-            lab = (slot, (a, b, c))
-            out[lab] = out.get(lab, Fraction(0)) + cf
+            out[(slot, (a, b, c))] = -1
 
     if i == 2:
-        put(3, s + 1, by, cy + 1, Fraction(-1))
-        put(4, s + 1, by + 1, cy, Fraction(-1))
+        put(3, s + 1, by, cy + 1)
+        put(4, s + 1, by + 1, cy)
     elif i == 3:
-        put(3, s + 1, by, cy, Fraction(-1))
+        put(3, s + 1, by, cy)
     else:
-        put(4, s + 1, by, cy, Fraction(-1))
-    return {k: v for k, v in out.items() if v}
+        put(4, s + 1, by, cy)
+    return out
 
 
 def _model_beta_vec(n, vec):
     out = {}
     for lab, cf in vec.items():
-        out = vec_add(out, vec_scale(cf, _model_beta(n, lab)))
+        vec_axpy(out, cf, _model_beta(n, lab))
     return out
 
 
@@ -315,7 +297,7 @@ def d1_relative_report(n: int, ybound: int = 6) -> Verdict:
             lifted = {}
             for lab, cf in r.items():
                 mono, i = _lift_model_label(lab)
-                lifted = vec_add(lifted, _apply_terms(n, mono, _G_TERMS[i], cf))
+                vec_axpy(lifted, cf, _apply_terms(n, mono, _G_TERMS[i]))
             if not j2_ech.contains(lifted):
                 raise EngineError("model relation does not lift into J^2")
 
@@ -380,7 +362,7 @@ def beta_kernel_system(nmax: int, ybound: int = 6) -> Verdict:
             for dep in column_dependencies(exc):
                 w = {}
                 for i, cf in dep.items():
-                    w = vec_add(w, vec_scale(cf, in_d1[i]))
+                    vec_axpy(w, cf, in_d1[i])
                 k_vectors.append(w)
             kernel_dims[hi] += len(k_vectors) - rel_rank
             # closed-form carrier check: x1^(hi-1) dx3 and x1^(hi-1) dx4
@@ -393,7 +375,7 @@ def beta_kernel_system(nmax: int, ybound: int = 6) -> Verdict:
                 carrier_ech.add(r)
             for lab in hi_labels:
                 if lab[0] == hi - 1 and lab[3] in (3, 4):
-                    single = {lab: Fraction(1)}
+                    single = {lab: 1}
                     if not k_ech.contains(single):
                         return Verdict(False, {
                             "failed": "carrier not in kernel",
@@ -457,14 +439,12 @@ def _form_d(n, label, capped=True):
         if exp == 0 or var in wedge:
             continue
         sign, new_wedge = _wedge_insert(var, wedge)
-        coeff = Fraction(exp) * sign
         ne3 = e3 - (1 if var == _DY3 else 0)
         ne4 = e4 - (1 if var == _DY4 else 0)
         nex = ex - (1 if var == _DX else 0)
         if capped and _DX in new_wedge and nex > n - 2:
             continue
-        lab = (ne3, ne4, nex, new_wedge)
-        out[lab] = out.get(lab, Fraction(0)) + coeff
+        out[(ne3, ne4, nex, new_wedge)] = exp * sign
     return out
 
 
@@ -600,8 +580,8 @@ def verify_relative_forms_collapse(n: int, ybound: int = 6) -> Verdict:
     if n >= 2:
         for j in range(0, min(3, ybound)):
             # beta(y3^j g3) = -x1 y3^j dy3 in the model
-            vec = _model_beta_vec(n, {(0, j, 0, 3): Fraction(1)})
-            want = {(3, (1, j, 0)): Fraction(-1)}
+            vec = _model_beta_vec(n, {(0, j, 0, 3): 1})
+            want = {(3, (1, j, 0)): -1}
             if vec != want:
                 ok = False
             witnesses.append({"relation": f"d(y3^{j} (x3 - y3 x1))",

@@ -30,7 +30,6 @@ comes from the one walker _labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Callable
@@ -38,7 +37,7 @@ from typing import Callable
 from .errors import BoxInstabilityError, EngineError
 from .kaehler import _wedge_insert
 from .linalg import (Echelon, LinearMap, SpanSolver, VectorSpaceWithBasis,
-                     column_dependencies, vec_add, vec_scale)
+                     column_dependencies, vec_axpy, vec_scale)
 from .monoid import SEGRE_CHARS
 from .verdict import Verdict
 
@@ -155,21 +154,12 @@ def _s_contains_raw(base, F, u) -> bool:
     return co is not None and all(co[j] >= 0 for j in range(3) if j not in F)
 
 
-def s_contains(P: int, Q: int, u) -> bool:
-    base, F = overlap_data(P, Q)
-    return _s_contains_raw(base, F, u)
-
-
 # ---------------------------------------------------------------------------
 # Wedge labels and the lattice frame.
 
 
-def _std_wedges(m: int):
-    return tuple(combinations(range(3), m))
-
-
-def _minor(rows, cols_rows, W):
-    mat = [[rows[j][w] for w in W] for j in cols_rows]
+def _minor(rows, W):
+    mat = [[row[w] for w in W] for row in rows]
     k = len(W)
     if k == 0:
         return 1
@@ -180,18 +170,23 @@ def _minor(rows, cols_rows, W):
     return _det3(mat)
 
 
+def _frame_wedge(chars):
+    """Lattice-frame coordinates of the wedge of the differentials of the
+    given characters: the maximal minors of their coordinate rows."""
+    rows = [lcoords(v) for v in chars]
+    out = {}
+    for W in _all_wedges(len(rows)):
+        d = _minor(rows, W)
+        if d:
+            out[W] = d
+    return out
+
+
 @lru_cache(maxsize=None)
 def wedge_lambda(C: int, T):
     """Lattice-frame coordinates of the wedge of chart-C generator
-    differentials indexed by T: minors of the generator matrix."""
-    rows = tuple(lcoords(g) for g in CHART_GENS[C])
-    m = len(T)
-    out = {}
-    for W in _std_wedges(m):
-        d = _minor(rows, T, W)
-        if d:
-            out[W] = Fraction(d)
-    return out
+    differentials indexed by T."""
+    return _frame_wedge([CHART_GENS[C][j] for j in T])
 
 
 def _gens_sum(C, T):
@@ -299,7 +294,7 @@ def _d_terms(coords, T):
         if j in T or coords[j] == 0:
             continue
         sign, newT = _wedge_insert(j, T)
-        out.append((newT, Fraction(coords[j]) * sign))
+        out.append((newT, coords[j] * sign))
     return out
 
 
@@ -314,7 +309,7 @@ def _overlap_d_lambda(base: int, u, T):
     co = chart_coords(base, _vadd(u, _vneg(_gens_sum(base, T))))
     out = {}
     for newT, cf in _d_terms(co, T):
-        out = vec_add(out, vec_scale(cf, wedge_lambda(base, newT)))
+        vec_axpy(out, cf, wedge_lambda(base, newT))
     return out
 
 
@@ -364,7 +359,7 @@ def char_model(kind: str, m: int, n: int, u) -> CharModel:
     for C in range(4):
         a, r = _labels(kind, m, n, C, (), u)
         amb.append(a)
-        rels = [{T: Fraction(1)} for T in r]
+        rels = [{T: 1} for T in r]
         d_images = (_chart_d_images(spec.ambient, m, n, C, u)
                     if spec.d_image else [])
         ech = None
@@ -417,13 +412,12 @@ def h0_char(kind: str, m: int, n: int, u) -> CharSections:
                     continue
                 res = model.pair_ech[(P, Q)].reduce(signed)
                 for W, cf in res.items():
-                    col[("p", P, Q, W)] = col.get(("p", P, Q, W),
-                                                  Fraction(0)) + cf
+                    col[("p", P, Q, W)] = cf
         if model.sub_ech[C] is not None:
-            res = model.sub_ech[C].reduce({T: Fraction(1)})
+            res = model.sub_ech[C].reduce({T: 1})
             for TT, cf in res.items():
                 col[("m", C, TT)] = cf
-        cols.append({k: v for k, v in col.items() if v})
+        cols.append(col)
     kernel = column_dependencies(cols)
     index = {lab: i for i, lab in enumerate(flat)}
     rel_flat = []
@@ -634,9 +628,9 @@ def _d_family(cs: CharSections, vec: dict) -> dict:
     out = {}
     for j, cf in vec.items():
         C, T = cs.flat_labels[j]
-        for newT, dcf in _chart_d_vec(C, cs.u, T).items():
-            out[(C, newT)] = out.get((C, newT), 0) + cf * dcf
-    return {k: v for k, v in out.items() if v}
+        vec_axpy(out, cf, {(C, newT): dcf for newT, dcf
+                           in _chart_d_vec(C, cs.u, T).items()})
+    return out
 
 
 def d_on_sections(kind_src: str, kind_dst: str, m: int, n: int) -> LinearMap:
@@ -674,12 +668,7 @@ def pullback_section(kind: str, n: int, mon, wedge,
     for i in wedge:
         u = _vadd(u, SEGRE_CHARS[i])
     m = len(wedge)
-    rows = [lcoords(SEGRE_CHARS[i]) for i in wedge]
-    lam = {}
-    for W in _std_wedges(m):
-        d = _minor(rows, range(m), W)
-        if d:
-            lam[W] = Fraction(d)
+    lam = _frame_wedge([SEGRE_CHARS[i] for i in wedge])
     solvers = {} if solvers is None else solvers
     family = {}
     for C in range(4):

@@ -24,19 +24,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
 from .errors import EngineError
 from .linalg import (LinearMap, QuotientSpace, VectorSpaceWithBasis,
-                     induced_quotient_map, vec_add)
+                     induced_quotient_map, vec_add, vec_axpy)
 from .monoid import cone_relation
 from .polyring import (FiniteAlgebra, Polynomial, mon_deg, mon_mul,
                        truncated_quotient)
 from .verdict import Verdict
-
-_ZERO = Fraction(0)
 
 
 def _partials(g: Polynomial) -> dict:
@@ -126,7 +123,7 @@ class DifferentialModule:
                             continue
                         for bm, bc in nf.items():
                             idx = space.index[(bm, nw)]
-                            n = vec.get(idx, _ZERO) + sign * bc
+                            n = vec.get(idx, 0) + sign * bc
                             if n:
                                 vec[idx] = n
                             else:
@@ -179,7 +176,7 @@ class DifferentialModule:
                 mm = list(mon)
                 mm[i] -= 1
                 j = dst.index[(tuple(mm), nw)]
-                n = out.get(j, _ZERO) + c * sign * e
+                n = out.get(j, 0) + c * sign * e
                 if n:
                     out[j] = n
                 else:
@@ -194,7 +191,7 @@ class DifferentialModule:
             bm, wedge = src.labels[idx]
             for nm, nc in self.alg.nf_mon(mon_mul(mon, bm)).items():
                 j = src.index[(nm, wedge)]
-                n = out.get(j, _ZERO) + c * nc
+                n = out.get(j, 0) + c * nc
                 if n:
                     out[j] = n
                 else:
@@ -234,22 +231,12 @@ class DifferentialModule:
             prod = self.alg.mult(a, b)
             left: dict = {}
             for mon, c in prod.items():
-                img = d0.apply(self.class_vec(0, mon, ()))
-                for j, x in img.items():
-                    n = left.get(j, _ZERO) + c * x
-                    if n:
-                        left[j] = n
-                    else:
-                        left.pop(j, None)
+                vec_axpy(left, c, d0.apply(self.class_vec(0, mon, ())))
             right = vec_add(self.class_action(1, a, d0.apply(self.class_vec(0, b, ()))),
                             self.class_action(1, b, d0.apply(self.class_vec(0, a, ()))))
             if left != right:
                 return False
         return True
-
-    def grading_of_label(self, label) -> int:
-        mon, wedge = label
-        return mon_deg(mon) + len(wedge)
 
 
 def build_differential_module(pres: AlgebraPresentation, up_to: int = 5,

@@ -22,7 +22,6 @@ verdicts.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from . import prosys
@@ -32,7 +31,8 @@ from .errors import CrossCheckError, EngineError
 from .kaehler import (OMEGA_TOP, hodge_quotient, hodge_subspace,
                       hodge_transition, omega_transition, qn_algebra,
                       qn_module)
-from .linalg import LinearMap, VectorSpaceWithBasis, induced_quotient_map
+from .linalg import (LinearMap, VectorSpaceWithBasis, induced_quotient_map,
+                     vec_axpy)
 from .polyring import mon_deg
 from .sheaf import filtration_tilde_omega, h_filtered
 from .verdict import Verdict
@@ -60,13 +60,7 @@ def _pullback_ambient(kind: str, n: int, amb: VectorSpaceWithBasis,
     for i, c in vec.items():
         mon, wedge = amb.labels[i]
         u, fam = pullback_section(kind, n, mon, wedge, solvers)
-        acc = per_char.setdefault(u, {})
-        for lab, cf in fam.items():
-            x = acc.get(lab, Fraction(0)) + c * cf
-            if x:
-                acc[lab] = x
-            else:
-                acc.pop(lab, None)
+        vec_axpy(per_char.setdefault(u, {}), c, fam)
     return {u: f for u, f in per_char.items() if f}
 
 

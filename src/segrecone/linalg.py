@@ -17,6 +17,13 @@ Key choices:
   one pass terminates with a residual supported away from every pivot.  The
   residual is linear in the input and vanishes exactly on the row span,
   which makes it a canonical coordinate vector for the quotient by the span.
+* This module owns the number rule for the whole engine: every exact
+  coefficient, here or in a polynomial, is stored through :func:`_exact`,
+  divided through :func:`_exact_div` and accumulated through
+  :func:`vec_axpy` (the hot loops of ``Echelon``, of the polynomial
+  reduction and of the Kaehler module build inline the same update).
+  Apart from ``report``, which renders Fractions, no other module imports
+  ``fractions``.
 * All arithmetic is exact.  Values are stored as Python ints when they
   are integral (an integral Fraction is stored as its numerator) and as
   Fractions otherwise.  Int arithmetic is several times cheaper than
@@ -70,15 +77,23 @@ def vec_clean(v: Mapping) -> Vec:
     return out
 
 
-def vec_add(u: Mapping, v: Mapping) -> Vec:
-    out = dict(u)
-    for k, c in v.items():
-        n = out.get(k, 0) + c
+def vec_axpy(out: dict, c, v: Mapping) -> dict:
+    """``out += c * v`` in place; returns ``out``.  Each sum is stored by
+    the rule of :func:`_exact`, and zeros are dropped."""
+    c = _exact(c)
+    if not c:
+        return out
+    for k, x in v.items():
+        n = out.get(k, 0) + c * x
         if n:
-            out[k] = n
+            out[k] = n if type(n) is int else _exact(n)
         else:
             out.pop(k, None)
     return out
+
+
+def vec_add(u: Mapping, v: Mapping) -> Vec:
+    return vec_axpy(dict(u), 1, v)
 
 
 def vec_scale(c, v: Mapping) -> Vec:
@@ -261,15 +276,8 @@ class VectorSpaceWithBasis:
     def dim(self) -> int:
         return len(self.labels)
 
-    def vector(self, coeffs: Mapping) -> Vec:
-        """Label-keyed coefficients -> index-keyed vector."""
-        return {self.index[lab]: c for lab, c in vec_clean(coeffs).items()}
-
     def basis_vector(self, lab: Hashable) -> Vec:
         return {self.index[lab]: 1}
-
-    def unvector(self, vec: Mapping) -> dict:
-        return {self.labels[i]: _exact(c) for i, c in vec.items() if c}
 
 
 class LinearMap:
@@ -283,24 +291,10 @@ class LinearMap:
         self.codomain = codomain
         self.images = [vec_clean(v) for v in images]
 
-    @classmethod
-    def from_label_images(cls, domain: VectorSpaceWithBasis,
-                          codomain: VectorSpaceWithBasis,
-                          image_of: Callable[[Hashable], Mapping]) -> "LinearMap":
-        return cls(domain, codomain,
-                   [codomain.vector(image_of(lab)) for lab in domain.labels])
-
     def apply(self, vec: Mapping) -> Vec:
         out: Vec = {}
         for i, c in vec.items():
-            if not c:
-                continue
-            for j, x in self.images[i].items():
-                n = out.get(j, 0) + c * x
-                if n:
-                    out[j] = n
-                else:
-                    out.pop(j, None)
+            vec_axpy(out, c, self.images[i])
         return out
 
     def rank(self) -> int:
@@ -309,12 +303,6 @@ class LinearMap:
     def kernel(self) -> list[Vec]:
         """Basis of the kernel as index-keyed domain vectors."""
         return column_dependencies(self.images)
-
-    def image_echelon(self) -> Echelon:
-        ech = Echelon()
-        for v in self.images:
-            ech.add(v)
-        return ech
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self o other (apply ``other`` first)."""

@@ -1,5 +1,5 @@
-"""Affine monoids in N^r: membership, divisibility, normality certificates,
-group completion rank, and toric ideals of the associated monomial maps.
+"""Affine monoids in N^r: membership, divisibility, normality certificates
+and toric ideals of the associated monomial maps.
 
 Monoids are stored by their generator vectors.  Being inside N^r makes them
 automatically cancellative, torsion-free and reduced, so the interesting
@@ -16,11 +16,10 @@ generic over small inputs.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import gcd
 
 from .errors import EngineError
-from .linalg import column_dependencies, span_rank
+from .linalg import column_dependencies
 from .polyring import GREVLEX, GroebnerBasis, Polynomial, groebner
 
 # generator order follows the monomial map x1 -> z1z3, x2 -> z2z4,
@@ -79,12 +78,6 @@ def gubeladze_monoid() -> AffineMonoid:
     return AffineMonoid(SEGRE_CHARS)
 
 
-def gp_rank(m: AffineMonoid) -> int:
-    """Rank of the group completion = rational rank of the generator matrix."""
-    rows = [{j: Fraction(x) for j, x in enumerate(g) if x} for g in m.generators]
-    return span_rank(rows)
-
-
 def c_divisibility_witness(m: AffineMonoid, c: int, degree_bound: int):
     """A monoid element of generator-degree <= degree_bound with no c-th
     divisor in the monoid, or None if every such element has one."""
@@ -140,11 +133,6 @@ def lattice_contains(triangular, u) -> bool:
         if u[row] != 0:
             return False
     return all(x == 0 for x in u)
-
-
-def in_group_completion(m: AffineMonoid, u) -> bool:
-    tri = _triangular_lattice_basis(m.generators)
-    return lattice_contains(tri, tuple(u))
 
 
 def is_normal_up_to(m: AffineMonoid, degree_bound: int,
@@ -205,11 +193,11 @@ def toric_ideal(m: AffineMonoid, check_degree: int = 6) -> list[Polynomial]:
     distinct monoid elements; a mismatch raises EngineError.
     """
     s = len(m.generators)
-    columns = [{j: Fraction(x) for j, x in enumerate(g) if x} for g in m.generators]
+    columns = [{j: x for j, x in enumerate(g) if x} for g in m.generators]
     deps = column_dependencies(columns)
     if not deps:
         return []
-    kernel = [_primitive([d.get(j, Fraction(0)) for j in range(s)]) for d in deps]
+    kernel = [_primitive([d.get(j, 0) for j in range(s)]) for d in deps]
 
     lattice_vecs = set()
     for coeffs in itertools.product(range(-2, 3), repeat=len(kernel)):

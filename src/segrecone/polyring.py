@@ -1,5 +1,8 @@
 """Multivariate polynomials over the rationals and Groebner machinery.
 
+Coefficients follow the engine's number rule (``linalg``): ints where
+integral, exact rationals otherwise.
+
 Provides monomial orders (lex, graded lex, graded reverse lex), Buchberger's
 algorithm with inter-reduction, normal forms, and the finite-dimensional
 truncated quotient algebras k[x1..xr]/(ideal + m^n) with their monomial
@@ -15,13 +18,11 @@ reads the basis of I + m^n off the basis of I by the truncation rule.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Mapping, Sequence
 
-Monomial = tuple  # exponent vectors, one entry per variable
+from .linalg import _exact, _exact_div, vec_add, vec_axpy, vec_scale
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+Monomial = tuple  # exponent vectors, one entry per variable
 
 
 def mon_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -63,23 +64,17 @@ def monomials_of_degree(nvars: int, d: int) -> list[Monomial]:
 
 
 class MonomialOrder:
-    """Total monomial order: 'lex', 'grlex' or 'grevlex', with an optional
-    variable permutation listing the variables from largest to smallest."""
+    """Total monomial order: 'lex', 'grlex' or 'grevlex', with the variables
+    from largest to smallest in index order."""
 
-    def __init__(self, kind: str = "grevlex", perm: Sequence[int] | None = None):
+    def __init__(self, kind: str = "grevlex"):
         if kind not in ("lex", "grlex", "grevlex"):
             raise ValueError(f"unknown order kind {kind!r}")
         self.kind = kind
-        self.perm = tuple(perm) if perm is not None else None
-
-    def _permuted(self, m: Monomial) -> tuple:
-        if self.perm is None:
-            return tuple(m)
-        return tuple(m[i] for i in self.perm)
 
     def key(self, m: Monomial):
         """Sort key: larger key = larger monomial."""
-        p = self._permuted(m)
+        p = tuple(m)
         if self.kind == "lex":
             return p
         if self.kind == "grlex":
@@ -93,7 +88,8 @@ GREVLEX = MonomialOrder("grevlex")
 
 
 class Polynomial:
-    """Immutable-by-convention polynomial: dict of Monomial -> Fraction."""
+    """Immutable-by-convention polynomial: dict of Monomial -> nonzero
+    exact coefficient."""
 
     __slots__ = ("nvars", "terms")
 
@@ -101,7 +97,7 @@ class Polynomial:
         self.nvars = nvars
         clean = {}
         for m, c in terms.items():
-            c = Fraction(c)
+            c = _exact(c)
             if c:
                 if len(m) != nvars:
                     raise ValueError("monomial arity mismatch")
@@ -112,10 +108,6 @@ class Polynomial:
     @staticmethod
     def zero(nvars: int) -> "Polynomial":
         return Polynomial(nvars, {})
-
-    @staticmethod
-    def constant(nvars: int, c) -> "Polynomial":
-        return Polynomial(nvars, {(0,) * nvars: c})
 
     @staticmethod
     def monomial(exps: Monomial, coeff=1) -> "Polynomial":
@@ -129,14 +121,7 @@ class Polynomial:
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            n = out.get(m, _ZERO) + c
-            if n:
-                out[m] = n
-            else:
-                out.pop(m, None)
-        return Polynomial(self.nvars, out)
+        return Polynomial(self.nvars, vec_add(self.terms, other.terms))
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.nvars, {m: -c for m, c in self.terms.items()})
@@ -148,26 +133,19 @@ class Polynomial:
         if isinstance(other, Polynomial):
             out: dict = {}
             for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    m = mon_mul(m1, m2)
-                    n = out.get(m, _ZERO) + c1 * c2
-                    if n:
-                        out[m] = n
-                    else:
-                        out.pop(m, None)
+                vec_axpy(out, c1, {mon_mul(m1, m2): c2
+                                   for m2, c2 in other.terms.items()})
             return Polynomial(self.nvars, out)
         return self.scale(other)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
-        return Polynomial(self.nvars, {m: c * x for m, x in self.terms.items()})
+        return Polynomial(self.nvars, vec_scale(c, self.terms))
 
     def mul_monomial(self, mon: Monomial, coeff=1) -> "Polynomial":
-        coeff = Fraction(coeff)
-        return Polynomial(self.nvars,
-                          {mon_mul(m, mon): coeff * c for m, c in self.terms.items()})
+        return Polynomial(self.nvars, {mon_mul(m, mon): coeff * c
+                                       for m, c in self.terms.items()})
 
     # -- inspection ----------------------------------------------------
     def is_zero(self) -> bool:
@@ -180,7 +158,7 @@ class Polynomial:
         degs = {mon_deg(m) for m in self.terms}
         return len(degs) <= 1
 
-    def leading(self, order: MonomialOrder) -> tuple[Monomial, Fraction]:
+    def leading(self, order: MonomialOrder) -> tuple:
         m = max(self.terms, key=order.key)
         return m, self.terms[m]
 
@@ -232,12 +210,12 @@ def reduce_full(p: Polynomial, gens: Sequence[Polynomial],
             q = mon_div(mon, lm)
             if q is None:
                 continue
-            factor = c / lc
+            factor = _exact_div(c, lc)
             for m2, c2 in g.terms.items():
                 if m2 == lm:
                     continue
                 mm = mon_mul(q, m2)
-                n = work.get(mm, _ZERO) - factor * c2
+                n = work.get(mm, 0) - factor * c2
                 if n:
                     work[mm] = n
                 else:
@@ -252,8 +230,8 @@ def spoly(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polyn
     fm, fc = f.leading(order)
     gm, gc = g.leading(order)
     l = mon_lcm(fm, gm)
-    return (f.mul_monomial(mon_div(l, fm), Fraction(1, 1) / fc)
-            - g.mul_monomial(mon_div(l, gm), Fraction(1, 1) / gc))
+    return (f.mul_monomial(mon_div(l, fm), _exact_div(1, fc))
+            - g.mul_monomial(mon_div(l, gm), _exact_div(1, gc)))
 
 
 class GroebnerBasis:
@@ -310,7 +288,7 @@ def groebner(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> Groe
     monic = []
     for g in basis:
         _, lc = g.leading(order)
-        monic.append(g.scale(Fraction(1, 1) / lc))
+        monic.append(g.scale(_exact_div(1, lc)))
     monic.sort(key=lambda g: order.key(g.leading(order)[0]))
     return GroebnerBasis(order, monic)
 
@@ -367,15 +345,7 @@ class FiniteAlgebra:
         """Normal form of a term dict, as {basis monomial: coefficient}."""
         out: dict = {}
         for m, c in terms.items():
-            c = Fraction(c)
-            if not c:
-                continue
-            for bm, bc in self.nf_mon(m).items():
-                n = out.get(bm, _ZERO) + c * bc
-                if n:
-                    out[bm] = n
-                else:
-                    out.pop(bm, None)
+            vec_axpy(out, c, self.nf_mon(m))
         return out
 
     def mult(self, m1: Monomial, m2: Monomial) -> dict:

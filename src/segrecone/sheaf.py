@@ -109,9 +109,8 @@ def _char_cohomology(p, q, a, b):
                 T = tuple(sorted(S + (extra,)))
                 if T not in index[k + 1]:
                     continue
-                sign = (-1) ** T.index(extra)
-                col[index[k + 1][T]] = col.get(index[k + 1][T], 0) + sign
-            cols.append({kk: vv for kk, vv in col.items() if vv})
+                col[index[k + 1][T]] = (-1) ** T.index(extra)
+            cols.append(col)
         ranks.append(span_rank(cols))
     hs = []
     for k in range(4):
@@ -209,7 +208,7 @@ def audit_cohomology_formulas(n_range) -> list:
                 impl = coh_closed_form(p, n, i)
                 orac = _oracle_form(p, n, i)
                 records.append({
-                    "item": item, "n": n, "i": i,
+                    "item": item, "p": p, "n": n, "i": i,
                     "literal": lit, "implemented": impl, "oracle": orac,
                     "literal_agrees": lit == orac,
                     "implemented_agrees": impl == orac,
@@ -218,12 +217,17 @@ def audit_cohomology_formulas(n_range) -> list:
 
 
 def audit_summary(n_range) -> Verdict:
+    """Audit verdict: ok iff the implemented closed forms agree with the
+    oracle on every record.  The items cover all nine pairs (p, i) for
+    every n, so ``disagreements`` lists each (p, n, i) where they differ."""
     records = audit_cohomology_formulas(n_range)
-    engine_ok = all(r["implemented_agrees"] for r in records)
+    disagreements = sorted({(r["p"], r["n"], r["i"]) for r in records
+                            if not r["implemented_agrees"]})
     findings = [r for r in records if not r["literal_agrees"]]
     items_flagged = sorted({r["item"] for r in findings})
-    return Verdict(engine_ok, {
+    return Verdict(not disagreements, {
         "records": len(records),
+        "disagreements": disagreements,
         "findings": [{"item": r["item"], "n": r["n"], "i": r["i"],
                       "literal": r["literal"], "oracle": r["oracle"]}
                      for r in findings],

@@ -7,6 +7,7 @@ import pytest
 import segrecone.cli as cli
 from segrecone import ktheory
 from segrecone import monoid as monoids
+from segrecone import sheaf
 from segrecone.errors import BoxInstabilityError
 
 
@@ -171,6 +172,21 @@ def test_audit_check_reports_the_flagged_item(capsys):
     assert flagged
     assert all(w["item"] == 4 for w in flagged)
     assert {w["n"] for w in flagged} == {-2, -3, -4, -5, -6}
+
+
+def test_coh_main_fails_when_a_closed_form_disagrees(capsys, monkeypatch):
+    real = sheaf.coh_closed_form
+
+    def off_at_one_point(p, twist, i):
+        return real(p, twist, i) + ((p, twist, i) == (1, 2, 0))
+
+    monkeypatch.setattr(sheaf, "coh_closed_form", off_at_one_point)
+    code, out, _ = run(capsys, "verify", "coh-main", "--range", "-3..3")
+    assert code == 1
+    rec = json.loads(out)["checks"][0]
+    assert rec["verdict"] == "FAIL"
+    assert [w for w in rec["witnesses"] if "closed_vs_oracle" in w] == \
+        [{"closed_vs_oracle": [1, 2, 0]}]
 
 
 def test_output_file(tmp_path, capsys):

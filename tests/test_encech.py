@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from segrecone.encech import (
     CHART_GENS,
+    _s_contains_raw,
     chart_contains,
     chart_coords,
     chart_generator_consistency,
@@ -21,7 +22,6 @@ from segrecone.encech import (
     overlap_data,
     pullback_section,
     restriction_map,
-    s_contains,
     sections_system,
     set_box_pad,
     verify_H0_surjection,
@@ -110,10 +110,13 @@ def test_overlap_invertible_positions():
 
 def test_overlap_membership_rule():
     # position 1 of chart 0 is invertible on the (0,1) overlap, the fiber not
-    assert s_contains(0, 1, tuple(-x for x in CHART_GENS[0][1]))
-    assert not s_contains(0, 1, tuple(-x for x in CHART_GENS[0][0]))
+    base, inverted = overlap_data(0, 1)
+    assert _s_contains_raw(base, inverted,
+                           tuple(-x for x in CHART_GENS[0][1]))
+    assert not _s_contains_raw(base, inverted,
+                               tuple(-x for x in CHART_GENS[0][0]))
     for g in CHART_GENS[0] + CHART_GENS[1]:
-        assert s_contains(0, 1, g)
+        assert _s_contains_raw(base, inverted, g)
 
 
 def test_chart_generator_consistency():
@@ -254,6 +257,67 @@ def test_d_image_kinds_share_the_labels_of_their_ambient():
         ambient = encech.KINDS[spec.ambient]
         assert (spec.pool, spec.floor) == (ambient.pool, ambient.floor)
         assert spec.d_image or spec is ambient
+
+
+# -- the KindSpec table itself, against hand counts of chart labels -----------
+
+_WEDGE_KINDS = ("omega", "omega_tilde", "image_d", "hc_top")
+_SIX_KINDS = _WEDGE_KINDS + ("horizontal", "ideal_power")
+_FIBER, _BASE1 = CHART_GENS[0][0], CHART_GENS[0][1]
+_HAND_CHARS = {"zero": (0, 0, 0, 0), "fiber": _FIBER,
+               "fiber+base": tuple(x + y for x, y in zip(_FIBER, _BASE1))}
+# chart-0 ambient labels by (character, kind, m); absent entries are empty
+_HAND_AMBIENT = {
+    "zero": {("omega", 0): [()], ("horizontal", 0): [()]},
+    "fiber": {**{(k, 0): [()] for k in _SIX_KINDS},
+              **{(k, 1): [(0,)] for k in _WEDGE_KINDS}},
+    "fiber+base": {**{(k, 0): [()] for k in _SIX_KINDS},
+                   **{(k, 1): [(0,), (1,)] for k in _WEDGE_KINDS},
+                   ("horizontal", 1): [(1,)],
+                   **{(k, 2): [(0, 1)] for k in _WEDGE_KINDS}},
+}
+
+
+@pytest.mark.parametrize("char", sorted(_HAND_CHARS))
+@pytest.mark.parametrize("kind", _SIX_KINDS)
+def test_chart_labels_match_hand_counts(kind, char):
+    """Pins each kind's wedge pool and fiber floor, which the padded-box
+    oracle cannot see (it prunes and scans the same table).
+
+    Chart 0 is unimodular, so the label T of the chart at u has chart
+    coordinates (a, b, c) - e_T, where (a, b, c) are the coordinates of u
+    and e_T is the indicator of T: (0, 0, 0) at u = 0, (1, 0, 0) at the
+    fiber generator f and (1, 1, 0) at f + g1.  T is an ambient label iff
+    T is in the pool, b - [1 in T] >= 0, c - [2 in T] >= 0 and
+    a' = a - [0 in T] >= floor(T); it is a relation iff
+    a' >= n - [0 in T].
+
+    * u = 0: T = () is the only wedge with a', b', c' >= 0 (a' = 0; every
+      floor is >= 0, so (0,) with a' = -1 is out).  Its floor is 0
+      for omega and horizontal, 1 for the reduced kinds (omega_tilde,
+      image_d, hc_top) and ideal_power, so only omega and horizontal have a
+      label (m = 0: counts 1, 1, every other count 0); a' = 0 < n, so no
+      relation.
+    * u = f: T avoids 1 and 2, so T is () or (0,), with a' = 1 and 0, each
+      at least its floor (the reduced floor of (0,) is 0).  () is in every
+      kind's m = 0 pool, (0,) only in the full wedge pool (not horizontal's
+      base pool, not ideal_power's functions): count 1 at m = 0 for all six
+      kinds and 1 at m = 1 for the four wedge kinds.
+    * u = f + g1: T avoids 2, so T is (), (0,), (1,) or (0, 1), with
+      a' = 1, 0, 1, 0; every floor is met.  Counts: 1 at m = 0 for all six
+      kinds; 2 at m = 1 for the wedge kinds ((0,), (1,)) and 1 for
+      horizontal ((1,)); 1 at m = 2 for the wedge kinds ((0, 1)); horizontal
+      has no m = 2 label (its only 2-wedge is (1, 2)), ideal_power none
+      above m = 0, and no kind has an m = 3 label (the 3-wedge contains 2).
+    * At u = f and f + g1 every label has a' = 1 - [0 in T], so each is a
+      relation at n = 1 and none is at n = 2.
+    """
+    u = _HAND_CHARS[char]
+    for m in range(4):
+        amb = _HAND_AMBIENT[char].get((kind, m), [])
+        for n in (1, 2):
+            rel = amb if char != "zero" and n == 1 else []
+            assert encech._labels(kind, m, n, 0, (), u) == (amb, rel)
 
 
 # every (kind, m) the engine evaluates, for n <= 3; the H0-surjection

@@ -1,11 +1,14 @@
 """Exact polynomial arithmetic, Groebner bases, truncated quotient algebras."""
+from contextlib import ExitStack
 from fractions import Fraction
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from segrecone import linalg, polyring
 from segrecone.polyring import (
     GREVLEX,
     FiniteAlgebra,
@@ -66,7 +69,7 @@ def test_polynomial_arithmetic():
     assert p.scale(F(1, 2)).terms[(2, 0)] == F(1, 2)
     assert (x * y).total_degree() == 2
     assert p.is_homogeneous()
-    assert not (p + Polynomial.constant(2, 1)).is_homogeneous()
+    assert not (p + Polynomial(2, {(0, 0): 1})).is_homogeneous()
 
 
 @given(polys2, polys2, polys2)
@@ -78,6 +81,53 @@ def test_ring_distributivity(p, q, r):
 def test_ring_commutativity(p, q):
     assert p * q == q * p
     assert p + q == q + p
+
+
+# -- the number rule: ints where integral, Fractions otherwise ---------------
+
+int_terms2 = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                             st.integers(-4, 4), max_size=4)
+
+
+def all_fraction():
+    """Polynomial arithmetic with every coefficient stored as a Fraction and
+    every division a Fraction division: the reference for the rule."""
+    stack = ExitStack()
+    for module in (polyring, linalg):
+        stack.enter_context(mock.patch.object(module, "_exact", Fraction))
+    stack.enter_context(mock.patch.object(
+        polyring, "_exact_div", lambda c, lead: Fraction(c) / lead))
+    return stack
+
+
+def rule_results(f, g, h, c):
+    p, q, r = (Polynomial(2, t) for t in (f, g, h))
+    out = {"add": p + q, "mul": p * q, "scale": p.scale(c),
+           "reduce": reduce_full(p, [q, r], GREVLEX)}
+    if not (q.is_zero() or r.is_zero()):
+        out["spoly"] = spoly(q, r, GREVLEX)
+    if not (q.is_zero() and r.is_zero()):
+        out["groebner"] = list(groebner([q, r], GREVLEX))
+    return out
+
+
+def coefficients(results):
+    for value in results.values():
+        for poly in value if isinstance(value, list) else [value]:
+            yield from poly.terms.values()
+
+
+@given(int_terms2, int_terms2, int_terms2,
+       st.fractions(min_value=-3, max_value=3, max_denominator=4))
+def test_int_coefficients_match_fraction_arithmetic(f, g, h, c):
+    got = rule_results(f, g, h, c)
+    with all_fraction():
+        want = rule_results(*({m: Fraction(x) for m, x in t.items()}
+                              for t in (f, g, h)), c)
+    assert got == want
+    assert all(type(x) is Fraction for x in coefficients(want))
+    for x in coefficients(got):
+        assert type(x) is int or (type(x) is Fraction and x.denominator > 1)
 
 
 def test_reduce_full_hand_example():
