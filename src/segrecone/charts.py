@@ -269,9 +269,7 @@ def d1_relative_report(n: int, ybound: int = 6) -> Verdict:
     ok = True
     for grade in _slice_grades(n, ybound):
         jvecs = _j_slice_vectors(n, grade)
-        j_ech = Echelon()
-        for _, v in jvecs:
-            j_ech.add(v)
+        j_ech = Echelon(v for _, v in jvecs)
         dim_j = j_ech.rank
         j2_ech = _j2_slice_echelon(n, grade)
         dim_j2 = j2_ech.rank
@@ -336,9 +334,7 @@ def beta_kernel_system(nmax: int, ybound: int = 6) -> Verdict:
                 continue
             hi_rels = _model_relation_vectors(hi, grade)
             rel_rank = span_rank(hi_rels)
-            lo_ech = Echelon()
-            for r in _model_relation_vectors(n, grade):
-                lo_ech.add(r)
+            lo_ech = Echelon(_model_relation_vectors(n, grade))
 
             def truncate(vec):
                 return {lab: cf for lab, cf in vec.items() if lab[0] <= n - 1}
@@ -367,12 +363,8 @@ def beta_kernel_system(nmax: int, ybound: int = 6) -> Verdict:
             kernel_dims[hi] += len(k_vectors) - rel_rank
             # closed-form carrier check: x1^(hi-1) dx3 and x1^(hi-1) dx4
             # plus the relations span the same slice as the kernel
-            k_ech = Echelon()
-            for w in k_vectors:
-                k_ech.add(w)
-            carrier_ech = Echelon()
-            for r in hi_rels:
-                carrier_ech.add(r)
+            k_ech = Echelon(k_vectors)
+            carrier_ech = Echelon(hi_rels)
             for lab in hi_labels:
                 if lab[0] == hi - 1 and lab[3] in (3, 4):
                     single = {lab: 1}
@@ -406,7 +398,6 @@ def beta_kernel_system(nmax: int, ybound: int = 6) -> Verdict:
 
 # form variables ordered (y3, y4, x); wedges are tuples of indices 0, 1, 2
 _DY3, _DY4, _DX = 0, 1, 2
-_VAR_GRADE = {_DY3: (0, 1, 0), _DY4: (0, 0, 1), _DX: (1, 0, 0)}
 
 
 def _form_slice_labels(n, m, grade, reduced=False, capped=True):

@@ -25,6 +25,14 @@ The six sheaf models ("kinds") are defined in one place, the KINDS spec
 table: each entry gives the wedge pool, the fiber floor, the ambient model
 and the role of the d-images.  Every label set, on a chart or an overlap,
 comes from the one walker _labels.
+
+Section coordinates have two owners.  A section at one character is a
+flat family keyed by (chart, wedge) labels; CharSections turns a family
+into a vector over its own label positions (flat) and back (family).
+GlobalSections turns a family into coordinates of its space() (coords)
+and builds every map into that space (map_from).  The span solvers behind
+coords live in a dict that each map build creates and passes down, so
+they are freed with the map; neither type caches one.
 """
 
 from __future__ import annotations
@@ -58,10 +66,6 @@ def in_lattice(u) -> bool:
 def lcoords(u):
     """Coordinates in the rank-3 lattice basis."""
     return (u[0], u[1], u[2] - u[0])
-
-
-def lexpand(a, b, c):
-    return (a, b, a + c, b - c)
 
 
 def xdeg(u) -> int:
@@ -340,16 +344,13 @@ def _chart_d_images(kind: str, m: int, n: int, C: int, u) -> list:
 
 def _pair_reduction_echelon(kind, m, n, P, Q, u):
     spec = _spec(kind)
-    ech = Echelon()
     base, F = overlap_data(P, Q)
     _, rel = _labels(kind, m, n, base, F, u)
-    for T in rel:
-        ech.add(dict(wedge_lambda(base, T)))
+    vecs = [wedge_lambda(base, T) for T in rel]
     if spec.d_image == QUOTIENT and m >= 1:
         amb1, _ = _labels(spec.ambient, m - 1, n, base, F, u)
-        for T in amb1:
-            ech.add(_overlap_d_lambda(base, u, T))
-    return ech
+        vecs += [_overlap_d_lambda(base, u, T) for T in amb1]
+    return Echelon(vecs)
 
 
 @lru_cache(maxsize=None)
@@ -369,9 +370,7 @@ def char_model(kind: str, m: int, n: int, u) -> CharModel:
                 raise EngineError("d image leaves the reduced ambient")
             rels += d_images
         elif spec.d_image == CONSTRAINT:
-            ech = Echelon()
-            for v in rels + d_images:
-                ech.add(dict(v))
+            ech = Echelon(rels + d_images)
         rel_vecs.append(rels)
         sub_ech.append(ech)
     pair_ech = {}
@@ -383,11 +382,26 @@ def char_model(kind: str, m: int, n: int, u) -> CharModel:
 
 @dataclass
 class CharSections:
+    """Global sections of a model at one character.  Its vectors are keyed
+    by position in flat_labels; a flat family is keyed by the (chart,
+    wedge) labels themselves."""
     u: tuple
     flat_labels: list        # [(C, T)]
+    index: dict              # (C, T) -> position in flat_labels
     basis: list              # kernel vectors forming a basis mod relations
     rel_flat: list           # relation vectors in flat coordinates
     dim: int
+
+    def family(self, vec: dict) -> dict:
+        """The flat family of a position-keyed vector."""
+        return {self.flat_labels[j]: cf for j, cf in vec.items()}
+
+    def flat(self, family: dict) -> dict | None:
+        """The position-keyed vector of a flat family, or None when a label
+        lies outside the ambient."""
+        if any(lab not in self.index for lab in family):
+            return None
+        return {self.index[lab]: cf for lab, cf in family.items()}
 
 
 @lru_cache(maxsize=None)
@@ -397,7 +411,7 @@ def h0_char(kind: str, m: int, n: int, u) -> CharSections:
     model = char_model(kind, m, n, u)
     flat = [(C, T) for C in range(4) for T in model.amb[C]]
     if not flat:
-        return CharSections(u, [], [], [], 0)
+        return CharSections(u, [], {}, [], [], 0)
     cols = []
     for (C, T) in flat:
         col = {}
@@ -405,7 +419,7 @@ def h0_char(kind: str, m: int, n: int, u) -> CharSections:
         for P in range(4):
             for Q in range(P + 1, 4):
                 if C == P:
-                    signed = dict(lam)
+                    signed = lam
                 elif C == Q:
                     signed = vec_scale(-1, lam)
                 else:
@@ -426,20 +440,13 @@ def h0_char(kind: str, m: int, n: int, u) -> CharSections:
             rv = {index[(C, T)]: cf for T, cf in v.items()}
             if rv:
                 rel_flat.append(rv)
-    ker_ech = Echelon()
-    for v in kernel:
-        ker_ech.add(dict(v))
+    ker_ech = Echelon(kernel)
     for rv in rel_flat:
         if not ker_ech.contains(rv):
             raise EngineError("relation family is not a compatible section")
-    rel_ech = Echelon()
-    for rv in rel_flat:
-        rel_ech.add(dict(rv))
-    basis = []
-    for v in kernel:
-        if rel_ech.add(dict(v)):
-            basis.append(v)
-    return CharSections(u, flat, basis, rel_flat, len(basis))
+    rel_ech = Echelon(rel_flat)
+    basis = [v for v in kernel if rel_ech.add(v)]
+    return CharSections(u, flat, index, basis, rel_flat, len(basis))
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +517,36 @@ class GlobalSections:
                   for i in range(self.chars[u].dim)]
         return VectorSpaceWithBasis(labels)
 
+    def coords(self, u, family: dict, solvers: dict) -> dict | None:
+        """Coordinates in space() of a flat family at character u, or None
+        when the family is not a section.  ``solvers`` is the map build's
+        solver dict (see the module docstring)."""
+        key = ("family", self.kind, self.m, self.n, u)
+        if key not in solvers:
+            cs = h0_char(self.kind, self.m, self.n, u)
+            # the labels (u, 0..dim-1) are consecutive in space()
+            first = self.space().index[(u, 0)] if cs.dim else 0
+            solvers[key] = (cs, SpanSolver(cs.basis + cs.rel_flat), first)
+        cs, solver, first = solvers[key]
+        vec = cs.flat(family)
+        coeffs = None if vec is None else solver.express(vec)
+        if coeffs is None:
+            return None
+        return {first + j: cf for j, cf in enumerate(coeffs[:cs.dim]) if cf}
+
+    def map_from(self, dom: VectorSpaceWithBasis, sections, solvers: dict,
+                 error: str) -> LinearMap:
+        """The map from ``dom`` into space() sending the i-th basis vector
+        to the i-th (character, flat family) of ``sections``; EngineError
+        with message ``error`` when a family is not a section."""
+        images = []
+        for u, family in sections:
+            vec = self.coords(u, family, solvers)
+            if vec is None:
+                raise EngineError(error)
+            images.append(vec)
+        return LinearMap(dom, self.space(), images)
+
     def dims_by_xdeg(self) -> dict:
         out = {}
         for u, cs in self.chars.items():
@@ -568,48 +605,14 @@ def global_sections(kind: str, m: int, n: int) -> GlobalSections:
 # Maps between section spaces.
 
 
-# Span solvers are shared within one map build through a dict the builder
-# creates and passes down (``solvers``), so each pool is eliminated once per
-# map and freed with it; there is no process-wide solver cache.
-
-
-def express_family(kind, m, n, u, vec, solvers: dict | None = None):
-    """Basis coefficients of a flat family vector (keyed by (chart, wedge))
-    in the level-n model at character u, or None if it is not a section."""
-    solvers = {} if solvers is None else solvers
-    key = ("family", kind, m, n, u)
-    if key not in solvers:
-        cs = h0_char(kind, m, n, u)
-        index = {lab: i for i, lab in enumerate(cs.flat_labels)}
-        solvers[key] = (index, len(cs.basis),
-                        SpanSolver(list(cs.basis) + list(cs.rel_flat)))
-    index, nbasis, solver = solvers[key]
-    if any(lab not in index for lab in vec):
-        return None
-    coeffs = solver.express({index[lab]: cf for lab, cf in vec.items() if cf})
-    if coeffs is None:
-        return None
-    return coeffs[:nbasis]
-
-
 def restriction_map(kind: str, m: int, n: int) -> LinearMap:
     """Sections at level n+1 restrict to level n (identity on labels,
     more relations)."""
     hi = global_sections(kind, m, n + 1)
-    lo = global_sections(kind, m, n)
-    dom = hi.space()
-    cod = lo.space()
-    images = []
-    solvers: dict = {}
-    for (u, i) in dom.labels:
-        cs = hi.chars[u]
-        vec = {cs.flat_labels[j]: c for j, c in cs.basis[i].items()}
-        coeffs = express_family(kind, m, n, u, vec, solvers)
-        if coeffs is None:
-            raise EngineError("restriction is not defined on a section")
-        images.append({cod.index[(u, j)]: cf
-                       for j, cf in enumerate(coeffs) if cf})
-    return LinearMap(dom, cod, images)
+    families = ((u, cs.family(v)) for u, cs in sorted(hi.chars.items())
+                for v in cs.basis)
+    return global_sections(kind, m, n).map_from(
+        hi.space(), families, {}, "restriction is not defined on a section")
 
 
 def sections_system(kind: str, m: int, nmax: int):
@@ -622,12 +625,10 @@ def sections_system(kind: str, m: int, nmax: int):
 
 
 def _d_family(cs: CharSections, vec: dict) -> dict:
-    """d of a section vector at character cs.u (index-keyed over
-    cs.flat_labels), chart by chart, as a flat family keyed by (chart,
-    wedge)."""
+    """d of a section vector at character cs.u, chart by chart, as a flat
+    family."""
     out = {}
-    for j, cf in vec.items():
-        C, T = cs.flat_labels[j]
+    for (C, T), cf in cs.family(vec).items():
         vec_axpy(out, cf, {(C, newT): dcf for newT, dcf
                            in _chart_d_vec(C, cs.u, T).items()})
     return out
@@ -636,20 +637,11 @@ def _d_family(cs: CharSections, vec: dict) -> dict:
 def d_on_sections(kind_src: str, kind_dst: str, m: int, n: int) -> LinearMap:
     """The de Rham map on global sections, chart by chart."""
     src = global_sections(kind_src, m, n)
-    dst = global_sections(kind_dst, m + 1, n)
-    dom = src.space()
-    cod = dst.space()
-    images = []
-    solvers: dict = {}
-    for (u, i) in dom.labels:
-        cs = src.chars[u]
-        coeffs = express_family(kind_dst, m + 1, n, u,
-                                _d_family(cs, cs.basis[i]), solvers)
-        if coeffs is None:
-            raise EngineError("d image is not a section of the target model")
-        images.append({cod.index[(u, j)]: cf
-                       for j, cf in enumerate(coeffs) if cf})
-    return LinearMap(dom, cod, images)
+    families = ((u, _d_family(cs, v)) for u, cs in sorted(src.chars.items())
+                for v in cs.basis)
+    return global_sections(kind_dst, m + 1, n).map_from(
+        src.space(), families, {},
+        "d image is not a section of the target model")
 
 
 def pullback_section(kind: str, n: int, mon, wedge,
@@ -660,7 +652,7 @@ def pullback_section(kind: str, n: int, mon, wedge,
     differential expands in chart labels through its chart coordinates.
     The result is expressed per chart in the model ambient, which fails
     (EngineError) exactly when the pullback is not a section of the model.
-    ``solvers`` is the map build's solver dict, as for express_family."""
+    ``solvers`` is the map build's solver dict (see the module docstring)."""
     u = (0, 0, 0, 0)
     for i, e in enumerate(mon):
         for _ in range(e):
@@ -709,19 +701,10 @@ def verify_H0_surjection(m: int, n: int) -> Verdict:
             ok = False
             break
         # surjectivity: tilde sections must span the quotient classes
-        ech = Echelon()
-        for rv in hc_cs.rel_flat:
-            ech.add(dict(rv))
+        ech = Echelon(hc_cs.rel_flat)
         base_rank = 0
-        hc_index = {lab: i for i, lab in enumerate(hc_cs.flat_labels)}
         for v in t_cs.basis:
-            vec = {}
-            for j, cf in v.items():
-                lab = t_cs.flat_labels[j]
-                if lab not in hc_index:
-                    vec = None
-                    break
-                vec[hc_index[lab]] = cf
+            vec = hc_cs.flat(t_cs.family(v))
             if vec is None:
                 ok = False
                 break
@@ -763,27 +746,17 @@ def verify_alg_surjection(i: int, n: int) -> Verdict:
     uncovered = []
     for u in sorted(omega.chars):
         om_cs = h0_char("omega", i, n, u)
-        ech = Echelon()
-        for rv in om_cs.rel_flat:
-            ech.add(dict(rv))
-        index = {lab: j for j, lab in enumerate(om_cs.flat_labels)}
-
-        def add_family(vec_flat):
-            iv = {}
-            for lab, cf in vec_flat.items():
-                if lab not in index:
-                    raise EngineError("family leaves the ambient model")
-                iv[index[lab]] = cf
-            ech.add(iv)
-
+        ech = Echelon(om_cs.rel_flat)
         h_cs = h0_char("horizontal", i, n, u)
-        for v in h_cs.basis:
-            add_family({h_cs.flat_labels[j]: cf for j, cf in v.items()})
         lo_cs = h0_char("omega", i - 1, n, u)
-        for v in lo_cs.basis:
-            add_family(_d_family(lo_cs, v))
+        for fam in ([h_cs.family(v) for v in h_cs.basis]
+                    + [_d_family(lo_cs, v) for v in lo_cs.basis]):
+            vec = om_cs.flat(fam)
+            if vec is None:
+                raise EngineError("family leaves the ambient model")
+            ech.add(vec)
         for v in om_cs.basis:
-            if not ech.contains(dict(v)):
+            if not ech.contains(v):
                 uncovered.append(u)
                 break
     details = {
@@ -819,16 +792,13 @@ def chart_generator_consistency() -> Verdict:
     for P in range(4):
         for Q in range(P + 1, 4):
             try:
-                base, F = overlap_data(P, Q)
-                f_table[f"{P},{Q}"] = sorted(F)
+                f_table[f"{P},{Q}"] = sorted(overlap_data(P, Q)[1])
             except EngineError as e:
                 problems.append(str(e))
-    opposite = {0: 1, 1: 0, 2: 3, 3: 2}
-    for C, D in opposite.items():
-        P, Q = min(C, D), max(C, D)
-        if (P, Q) in [(0, 1), (2, 3)] and sorted(overlap_data(P, Q)[1]) != \
-                [1, 2]:
-            problems.append(f"opposite pair ({P},{Q}) not a torus overlap")
+    # opposite charts meet in the torus: both base coordinates invert
+    for pair in ("0,1", "2,3"):
+        if f_table.get(pair) != [1, 2]:
+            problems.append(f"opposite pair ({pair}) not a torus overlap")
     # the distinguished chart must agree with the chart-algebra encoding
     # (generator i maps to fiber^a * y3^b * y4^c with (a,b,c) its coords)
     from .charts import CHART_IMAGES

@@ -71,7 +71,7 @@ class DifferentialModule:
     """Tower Omega^0..Omega^up_to of a finite algebra with exact d maps."""
 
     def __init__(self, alg: FiniteAlgebra, rel_gens: Sequence[Polynomial],
-                 up_to: int = 5, verify: bool = True):
+                 up_to: int = 5):
         self.alg = alg
         self.up_to = up_to
         self.rel_gens = [g for g in rel_gens if not g.is_zero()]
@@ -86,8 +86,7 @@ class DifferentialModule:
             self._rels.append(self._relation_vectors(space, m))
         self._quot = [QuotientSpace(self._ambient[m], self._rels[m])
                       for m in range(up_to + 1)]
-        if verify:
-            self._verify_d_descends()
+        self._verify_d_descends()
         self._d = [induced_quotient_map(self._quot[m], self._quot[m + 1],
                                         lambda v, m=m: self.ambient_d(m, v))
                    for m in range(up_to)]
@@ -239,10 +238,10 @@ class DifferentialModule:
         return True
 
 
-def build_differential_module(pres: AlgebraPresentation, up_to: int = 5,
-                               verify: bool = True) -> DifferentialModule:
+def build_differential_module(pres: AlgebraPresentation,
+                              up_to: int = 5) -> DifferentialModule:
     alg = truncated_quotient(list(pres.ideal_gens), pres.level, nvars=pres.nvars)
-    return DifferentialModule(alg, list(alg.gb.elements), up_to, verify)
+    return DifferentialModule(alg, list(alg.gb.elements), up_to)
 
 
 @lru_cache(maxsize=None)

@@ -25,8 +25,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import prosys
-from .encech import (express_family, global_sections, pullback_section,
-                     sections_system, verify_H0_surjection)
+from .encech import (global_sections, pullback_section, sections_system,
+                     verify_H0_surjection)
 from .errors import CrossCheckError, EngineError
 from .kaehler import (OMEGA_TOP, hodge_quotient, hodge_subspace,
                       hodge_transition, omega_transition, qn_algebra,
@@ -64,40 +64,27 @@ def _pullback_ambient(kind: str, n: int, amb: VectorSpaceWithBasis,
     return {u: f for u, f in per_char.items() if f}
 
 
-def _assert_pullback_kills(kind: str, m: int, n: int,
-                           amb: VectorSpaceWithBasis, vecs,
-                           solvers: dict) -> None:
-    """Well-definedness on quotients: subspace vectors must pull back into
-    the relation span of the target model."""
-    for vec in vecs:
-        for u, fam in _pullback_ambient(kind, n, amb, vec, solvers).items():
-            coeffs = express_family(kind, m, n, u, fam, solvers)
-            if coeffs is None or any(coeffs):
-                raise EngineError(
-                    "pullback does not kill a cone-side relation")
-
-
 def _pullback_map(quot, dm, m: int, n: int, kind: str,
                   subspace_vecs) -> LinearMap:
-    """Induced map from a quotient of cone m-forms to the flat space of
-    global sections of the model, via coordinate-label lifts.  One solver
-    dict serves the whole build (see encech.express_family)."""
+    """Induced map from a quotient of cone m-forms to the space of global
+    sections of the model, via coordinate-label lifts.  It is well defined
+    because every subspace vector pulls back into the relation span of the
+    model (zero coordinates), which is checked here.  GlobalSections owns
+    the section coordinates; one solver dict serves this build and is
+    freed with it."""
     amb = dm.ambient(m)
-    solvers: dict = {}
-    _assert_pullback_kills(kind, m, n, amb, subspace_vecs, solvers)
     gs = global_sections(kind, m, n)
-    cod = gs.space()
+    solvers: dict = {}
+    for vec in subspace_vecs:
+        for u, fam in _pullback_ambient(kind, n, amb, vec, solvers).items():
+            if gs.coords(u, fam, solvers) != {}:
+                raise EngineError(
+                    "pullback does not kill a cone-side relation")
     dom = quot.space()
-    images = []
-    for lab in dom.labels:
-        mon, wedge = lab
-        u, fam = pullback_section(kind, n, mon, wedge, solvers)
-        coeffs = express_family(kind, m, n, u, fam, solvers)
-        if coeffs is None:
-            raise EngineError("pullback is not a section of the model")
-        images.append({cod.index[(u, j)]: cf
-                       for j, cf in enumerate(coeffs) if cf})
-    return LinearMap(dom, cod, images)
+    families = (pullback_section(kind, n, mon, wedge, solvers)
+                for mon, wedge in dom.labels)
+    return gs.map_from(dom, families, solvers,
+                       "pullback is not a section of the model")
 
 
 # ---------------------------------------------------------------------------
@@ -110,33 +97,25 @@ def _ideal_level_iso(n: int) -> Verdict:
     alg = qn_algebra(n)
     mons = [e for e in alg.basis if mon_deg(e) >= 1]
     gs = global_sections("ideal_power", 0, n)
-    cod = gs.space()
     dom = VectorSpaceWithBasis(mons)
-    images = []
-    char_of: dict = {}
     solvers: dict = {}
-    for e in mons:
-        u, fam = pullback_section("ideal_power", n, e, (), solvers)
-        char_of[e] = u
-        coeffs = express_family("ideal_power", 0, n, u, fam, solvers)
-        if coeffs is None:
-            raise EngineError("monomial does not define an ideal section")
-        images.append({cod.index[(u, j)]: cf
-                       for j, cf in enumerate(coeffs) if cf})
-    f = LinearMap(dom, cod, images)
+    pulled = [pullback_section("ideal_power", n, e, (), solvers)
+              for e in mons]
+    f = gs.map_from(dom, pulled, solvers,
+                    "monomial does not define an ideal section")
     rank = f.rank()
     # grading bookkeeping: degree-j monomials hit (j+1)^2 distinct characters
     deg_counts: dict = {}
     deg_chars: dict = {}
-    for e in mons:
+    for e, (u, _) in zip(mons, pulled):
         j = mon_deg(e)
         deg_counts[j] = deg_counts.get(j, 0) + 1
-        deg_chars.setdefault(j, set()).add(char_of[e])
+        deg_chars.setdefault(j, set()).add(u)
     grading_ok = all(
         deg_counts[j] == (j + 1) ** 2 and len(deg_chars[j]) == deg_counts[j]
         for j in deg_counts)
     sections_by_deg = gs.dims_by_xdeg()
-    ok = (dom.dim == cod.dim == rank and grading_ok
+    ok = (dom.dim == gs.dim == rank and grading_ok
           and sections_by_deg == deg_counts)
     # the defining binomial maps to the literal same family on both sides
     u12, f12 = pullback_section("ideal_power", n, (1, 1, 0, 0), (), solvers)
@@ -144,7 +123,7 @@ def _ideal_level_iso(n: int) -> Verdict:
     if u12 != u34 or f12 != f34:
         raise EngineError("binomial relation broken by the character map")
     return Verdict(ok, {
-        "n": n, "dim_mbar_quotient": dom.dim, "dim_ideal_sections": cod.dim,
+        "n": n, "dim_mbar_quotient": dom.dim, "dim_ideal_sections": gs.dim,
         "rank": rank, "dims_by_degree": {j: deg_counts[j]
                                          for j in sorted(deg_counts)},
     })

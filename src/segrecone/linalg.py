@@ -110,12 +110,20 @@ class Echelon:
     itself as a combination of the vectors originally passed in, keyed by
     the tags supplied to :meth:`add_for_dependency`; failed insertions then
     yield explicit linear dependencies (= kernel elements).
+
+    The seed ``vectors`` are inserted in order, each tracked under its
+    position when ``track=True``.
     """
 
-    def __init__(self, track: bool = False):
+    def __init__(self, vectors: Iterable[Mapping] = (), track: bool = False):
         self._rows: dict = {}  # pivot label -> row (pivot coefficient 1)
         self._expr: dict = {}  # pivot label -> tag combination
         self._track = track
+        for i, v in enumerate(vectors):
+            if track:
+                self.add_for_dependency(v, tag=i)
+            else:
+                self.add(v)
 
     @property
     def rank(self) -> int:
@@ -209,10 +217,7 @@ class Echelon:
 
 
 def span_rank(vectors: Iterable[Mapping]) -> int:
-    ech = Echelon()
-    for v in vectors:
-        ech.add(v)
-    return ech.rank
+    return Echelon(vectors).rank
 
 
 class SpanSolver:
@@ -227,9 +232,7 @@ class SpanSolver:
 
     def __init__(self, vectors: Sequence[Mapping]):
         self._n = len(vectors)
-        self._ech = Echelon(track=True)
-        for i, v in enumerate(vectors):
-            self._ech.add_for_dependency(v, tag=i)
+        self._ech = Echelon(vectors, track=True)
 
     def express(self, target: Mapping) -> list | None:
         """Coefficients c with ``target == sum(c[i] * vectors[i])``, or None."""
@@ -326,9 +329,7 @@ class QuotientSpace:
 
     def __init__(self, ambient: VectorSpaceWithBasis, subspace_vectors: Iterable[Mapping]):
         self.ambient = ambient
-        self._ech = Echelon()
-        for v in subspace_vectors:
-            self._ech.add(v)
+        self._ech = Echelon(subspace_vectors)
         piv = self._ech.pivots
         self._coord_indices = [i for i in range(ambient.dim) if i not in piv]
         self._slot = {i: s for s, i in enumerate(self._coord_indices)}

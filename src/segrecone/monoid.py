@@ -92,10 +92,6 @@ def c_divisibility_witness(m: AffineMonoid, c: int, degree_bound: int):
     return None
 
 
-def is_c_divisible(m: AffineMonoid, c: int, degree_bound: int) -> bool:
-    return c_divisibility_witness(m, c, degree_bound) is None
-
-
 def _triangular_lattice_basis(vectors):
     """Column-style Hermite reduction; returns (pivot_row, column) pairs."""
     work = [list(v) for v in vectors if any(v)]

@@ -314,7 +314,6 @@ class FiniteAlgebra:
         basis.sort(key=gb.order.key)
         self.basis = basis
         self.index = {m: i for i, m in enumerate(basis)}
-        self.grading = {m: mon_deg(m) for m in basis}
         self._nf_cache: dict = {}
 
     def _standard_degree_bound(self) -> int:

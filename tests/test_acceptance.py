@@ -36,7 +36,6 @@ from segrecone.monoid import (
     c_divisibility_witness,
     cone_relation,
     gubeladze_monoid,
-    is_c_divisible,
     is_normal_up_to,
     toric_ideal,
 )
@@ -309,7 +308,6 @@ def test_08_monoid_presentation_divisibility_and_normality():
         divisible = (all(x % c == 0 for x in w)
                      and M.contains(tuple(x // c for x in w)))
         assert not divisible
-        assert not is_c_divisible(M, c, degree_bound=6)
 
     assert is_normal_up_to(M, 6)
 

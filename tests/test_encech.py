@@ -18,7 +18,6 @@ from segrecone.encech import (
     global_sections,
     in_lattice,
     lcoords,
-    lexpand,
     overlap_data,
     pullback_section,
     restriction_map,
@@ -29,6 +28,7 @@ from segrecone.encech import (
     xdeg,
 )
 from segrecone.errors import BoxInstabilityError, EngineError
+from segrecone.linalg import VectorSpaceWithBasis
 from segrecone.monoid import SEGRE_CHARS
 
 import segrecone.encech as encech
@@ -40,7 +40,7 @@ small = st.integers(-3, 3)
 
 @given(small, small, small)
 def test_lattice_coordinate_roundtrip(a, b, c):
-    u = lexpand(a, b, c)
+    u = (a, b, a + c, b - c)
     assert in_lattice(u)
     assert lcoords(u) == (a, b, c)
 
@@ -70,7 +70,7 @@ def test_chart_coords_rejects_off_lattice_points():
 
 @given(st.integers(0, 3), small, small, small)
 def test_chart_coords_invert_the_generator_matrix(C, a, b, c):
-    u = lexpand(a, b, c)
+    u = (a, b, a + c, b - c)
     co = chart_coords(C, u)
     rebuilt = tuple(sum(co[k] * CHART_GENS[C][k][j] for k in range(3))
                     for j in range(4))
@@ -84,7 +84,7 @@ CHART_BASE = ((3, 1), (0, 2), (2, 1), (0, 3))
 @given(st.integers(0, 3), small, small, small)
 def test_chart_coords_are_xdeg_and_two_character_entries(C, a, b, c):
     # the bounds of character_support rest on this shape
-    u = lexpand(a, b, c)
+    u = (a, b, a + c, b - c)
     i, j = CHART_BASE[C]
     assert chart_coords(C, u) == (xdeg(u), u[i], u[j])
 
@@ -128,6 +128,22 @@ def test_chart_generator_consistency():
         "1,2": [1], "1,3": [2], "2,3": [1, 2]}
 
 
+def test_a_failing_overlap_rule_fails_the_atlas_check(monkeypatch):
+    overlap_data = encech.overlap_data
+
+    def refuted(P, Q):
+        if (P, Q) == (0, 1):
+            raise EngineError("rule refuted")
+        return overlap_data(P, Q)
+
+    monkeypatch.setattr(encech, "overlap_data", refuted)
+    v = chart_generator_consistency()
+    assert not v.ok
+    assert "0,1" not in v.details["F_table"]
+    assert v.details["problems"] == [
+        "rule refuted", "opposite pair (0,1) not a torus overlap"]
+
+
 # -- global sections ----------------------------------------------------------
 
 def test_structure_sheaf_section_counts():
@@ -161,6 +177,31 @@ def test_d_is_injective_on_ideal_sections():
     assert d.domain.dim == 13
     assert d.rank() == 13
     assert d.kernel() == []
+
+
+_F = (0, 1, 0, 1)  # a degree-one generator
+
+
+@pytest.mark.parametrize("u,family,expected", [
+    (_F, {(0, (0,)): 1}, None),
+    (_F, {(0, ()): 1}, None),
+    ((0, 3, 0, 3), {(0, ()): 1}, {}),
+    (_F, {(C, ()): 1 for C in range(4)}, {0: 1}),
+], ids=["label-outside-ambient", "not-a-section", "relation", "section"])
+def test_coords_of_flat_families(u, family, expected):
+    # ideal sections at level 3: at the generator f the one section is
+    # x^f on every chart, the first basis vector; at 3f the chart-0 label
+    # is a truncation relation
+    gs = global_sections("omega_tilde", 0, 3)
+    assert gs.space().labels[0] == (_F, 0)
+    assert gs.coords(u, family, {}) == expected
+
+
+def test_map_from_raises_the_given_error_on_a_non_section():
+    gs = global_sections("omega_tilde", 0, 3)
+    with pytest.raises(EngineError, match="^no section here$"):
+        gs.map_from(VectorSpaceWithBasis(["x"]), [(_F, {(0, ()): 1})], {},
+                    "no section here")
 
 
 def test_pullback_respects_the_cone_relation():

@@ -16,7 +16,6 @@ from segrecone.monoid import (
     c_divisibility_witness,
     cone_relation,
     gubeladze_monoid,
-    is_c_divisible,
     is_normal_up_to,
     lattice_contains,
     toric_ideal,
@@ -79,7 +78,6 @@ def test_no_small_c_divisibility():
         divisible = (all(x % c == 0 for x in w)
                      and M.contains(tuple(x // c for x in w)))
         assert not divisible
-        assert not is_c_divisible(M, c, degree_bound=6)
     with pytest.raises(ValueError):
         c_divisibility_witness(M, 1, degree_bound=2)
 
