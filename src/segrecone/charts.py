@@ -422,8 +422,8 @@ def _form_slice_labels(n, m, grade, reduced=False, capped=True):
     return out
 
 
-def _form_d(n, label, capped=True):
-    """Full de Rham differential on a slice label, exact coefficients."""
+def _form_d(n, label):
+    """De Rham differential on a capped slice label, exact coefficients."""
     e3, e4, ex, wedge = label
     out = {}
     for var, exp in ((_DY3, e3), (_DY4, e4), (_DX, ex)):
@@ -433,7 +433,7 @@ def _form_d(n, label, capped=True):
         ne3 = e3 - (1 if var == _DY3 else 0)
         ne4 = e4 - (1 if var == _DY4 else 0)
         nex = ex - (1 if var == _DX else 0)
-        if capped and _DX in new_wedge and nex > n - 2:
+        if _DX in new_wedge and nex > n - 2:
             continue
         out[(ne3, ne4, nex, new_wedge)] = exp * sign
     return out

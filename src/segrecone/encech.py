@@ -634,16 +634,6 @@ def _d_family(cs: CharSections, vec: dict) -> dict:
     return out
 
 
-def d_on_sections(kind_src: str, kind_dst: str, m: int, n: int) -> LinearMap:
-    """The de Rham map on global sections, chart by chart."""
-    src = global_sections(kind_src, m, n)
-    families = ((u, _d_family(cs, v)) for u, cs in sorted(src.chars.items())
-                for v in cs.basis)
-    return global_sections(kind_dst, m + 1, n).map_from(
-        src.space(), families, {},
-        "d image is not a section of the target model")
-
-
 def pullback_section(kind: str, n: int, mon, wedge,
                      solvers: dict | None = None):
     """(character, flat family) of the pullback of x^mon dx_wedge.

@@ -28,11 +28,10 @@ from . import prosys
 from .encech import (global_sections, pullback_section, sections_system,
                      verify_H0_surjection)
 from .errors import CrossCheckError, EngineError
-from .kaehler import (OMEGA_TOP, hodge_quotient, hodge_subspace,
-                      hodge_transition, omega_transition, qn_algebra,
-                      qn_module)
-from .linalg import (LinearMap, VectorSpaceWithBasis, induced_quotient_map,
-                     vec_axpy)
+from .kaehler import (OMEGA_TOP, hodge_quotient, hodge_transition,
+                      omega_transition, qn_algebra, qn_module)
+from .linalg import (LinearMap, QuotientSpace, VectorSpaceWithBasis,
+                     induced_quotient_map, vec_axpy)
 from .polyring import mon_deg
 from .sheaf import filtration_tilde_omega, h_filtered
 from .verdict import Verdict
@@ -64,18 +63,19 @@ def _pullback_ambient(kind: str, n: int, amb: VectorSpaceWithBasis,
     return {u: f for u, f in per_char.items() if f}
 
 
-def _pullback_map(quot, dm, m: int, n: int, kind: str,
-                  subspace_vecs) -> LinearMap:
+def _pullback_map(quot: QuotientSpace, m: int, n: int,
+                  kind: str) -> LinearMap:
     """Induced map from a quotient of cone m-forms to the space of global
     sections of the model, via coordinate-label lifts.  It is well defined
-    because every subspace vector pulls back into the relation span of the
-    model (zero coordinates), which is checked here.  GlobalSections owns
-    the section coordinates; one solver dict serves this build and is
-    freed with it."""
-    amb = dm.ambient(m)
+    iff the subspace pulls back into the relation span of the model (zero
+    coordinates).  As in ``linalg.induced_quotient_map``, that is checked on
+    the echelon rows of ``quot.relations()``, which span the subspace.
+    GlobalSections owns the section coordinates; one solver dict serves
+    this build and is freed with it."""
+    amb = quot.ambient
     gs = global_sections(kind, m, n)
     solvers: dict = {}
-    for vec in subspace_vecs:
+    for vec in quot.relations():
         for u, fam in _pullback_ambient(kind, n, amb, vec, solvers).items():
             if gs.coords(u, fam, solvers) != {}:
                 raise EngineError(
@@ -132,8 +132,7 @@ def _ideal_level_iso(n: int) -> Verdict:
 def k1_form_map(n: int) -> LinearMap:
     """Omega^1 of the truncated cone algebra -> sections of the reduced
     1-forms on the thickening."""
-    dm = qn_module(n)
-    return _pullback_map(dm.quot(1), dm, 1, n, "omega_tilde", dm.rels(1))
+    return _pullback_map(qn_module(n).quot(1), 1, n, "omega_tilde")
 
 
 def verify_K1(nmax: int, window: int) -> Verdict:
@@ -196,7 +195,8 @@ def compute_K4(nmax: int):
         w = hq.class_of(dm.ambient(3).basis_vector(K4_WITNESS)
                         if mon_deg(K4_WITNESS[0]) < n else {})
         witness_classes[n] = w
-        dmap = _hodge_to_top_form(dm, hq)
+        dmap = induced_quotient_map(hq, dm.quot(4),
+                                    lambda v: dm.ambient_d(3, v))
         w_img = dmap.apply(w)
         omega_cls = dm.class_vec(4, *OMEGA_TOP)
         rec = {
@@ -226,14 +226,12 @@ def compute_K4(nmax: int):
     return system, verdict
 
 
-def _hodge_to_top_form(dm, hq) -> LinearMap:
-    """d descends from the degree-3 Hodge piece to the top forms."""
-    return induced_quotient_map(hq, dm.quot(4),
-                                lambda v: dm.ambient_d(3, v))
-
-
 def verify_K5plus_inputs(nmax: int) -> Verdict:
-    """d in degree 3 is onto the top forms and degree-5 forms vanish."""
+    """d in degree 3 is onto the top forms and degree-5 forms vanish.
+
+    ``dim_omega5 == 0`` holds by construction: four variables have no
+    5-element wedges, so the ambient of Omega^5 is empty.  It is recorded
+    for the report; only ``rank_d3 == dim_omega4`` can fail."""
     per_level = {}
     ok = True
     for n in range(1, nmax + 1):
@@ -277,11 +275,9 @@ def _hc_target_dim_two_ways(m: int, n: int) -> int:
 @lru_cache(maxsize=None)
 def k3_component(n: int) -> LinearMap:
     """Degree-2 Hodge piece of the truncated cone -> sections of the top
-    cyclic quotient sheaf.  Cached like qn_module and hodge_quotient, so the
-    `k3` verdict reads the maps compute_K3 built."""
-    dm = qn_module(n)
-    hq = hodge_quotient(dm, 2)
-    return _pullback_map(hq, dm, 2, n, "hc_top", hodge_subspace(dm, 2))
+    cyclic quotient sheaf.  Cached like qn_module, so the `k3` verdict
+    reads the maps compute_K3 built."""
+    return _pullback_map(hodge_quotient(qn_module(n), 2), 2, n, "hc_top")
 
 
 def compute_K3(nmax: int) -> prosys.ProVectorSystem:

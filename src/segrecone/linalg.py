@@ -44,6 +44,8 @@ import heapq
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
+from .errors import EngineError
+
 Vec = dict  # label -> nonzero int or Fraction
 
 
@@ -357,18 +359,37 @@ class QuotientSpace:
     def is_zero_class(self, vec: Mapping) -> bool:
         return not self._ech.reduce(vec)
 
+    def relations(self) -> list[Vec]:
+        """Echelon rows of the subspace: they span it, and there are never
+        more of them than the vectors it was built from."""
+        return self._ech.rows()
+
+    def lift(self, class_vec: Mapping) -> Vec:
+        """Ambient representative of a class vector (index-keyed in
+        :meth:`space`): coordinate labels lift to themselves."""
+        return {self._coord_indices[s]: c for s, c in class_vec.items()}
+
 
 def induced_quotient_map(qdom: QuotientSpace, qcod: QuotientSpace,
                          ambient_apply: Callable[[Vec], Mapping]) -> LinearMap:
-    """Map on quotients induced by ``ambient_apply`` on ambient vectors.
+    """Map on quotients induced by the linear ``ambient_apply`` on ambient
+    vectors, checked for descent.
 
-    Well-definedness (subspace mapping into subspace) is the caller's
-    responsibility; coordinate labels are used as lifts.
+    The map is well defined iff ``ambient_apply`` sends the subspace of
+    ``qdom`` into the subspace of ``qcod``, i.e. iff the composite with the
+    projection to ``qcod`` kills that subspace.  A linear map kills a
+    subspace iff it kills a spanning set of it.  The echelon rows of
+    :meth:`QuotientSpace.relations` are a basis of the subspace, never more
+    vectors than generated it, so checking them is complete and costs one
+    reduction per dimension of the subspace.  A row mapping outside the
+    target subspace raises ``EngineError``.  Images are taken on lifts of
+    the coordinate basis.
     """
+    for row in qdom.relations():
+        if not qcod.is_zero_class(ambient_apply(row)):
+            raise EngineError("induced map does not descend: a relation "
+                              "maps outside the target subspace")
     dom = qdom.space()
-    cod = qcod.space()
-    images = []
-    for lab in dom.labels:
-        out = ambient_apply(qdom.ambient.basis_vector(lab))
-        images.append(qcod.class_of(out))
-    return LinearMap(dom, cod, images)
+    images = [qcod.class_of(ambient_apply(qdom.lift({s: 1})))
+              for s in range(dom.dim)]
+    return LinearMap(dom, qcod.space(), images)

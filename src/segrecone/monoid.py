@@ -131,11 +131,9 @@ def lattice_contains(triangular, u) -> bool:
     return all(x == 0 for x in u)
 
 
-def is_normal_up_to(m: AffineMonoid, degree_bound: int,
-                    multiplier_bound: int = 6) -> bool:
+def is_normal_up_to(m: AffineMonoid, degree_bound: int) -> bool:
     """Certificate: no u in N^r with coordinate sum <= degree_bound lies in
-    gp(M), has k*u in M for some 2 <= k <= multiplier_bound, yet is not
-    itself in M.
+    gp(M), has k*u in M for some 2 <= k <= 6, yet is not itself in M.
 
     A bounded check, not a proof of normality.
     """
@@ -147,7 +145,7 @@ def is_normal_up_to(m: AffineMonoid, degree_bound: int,
                 continue
             if not lattice_contains(tri, u):
                 continue
-            for k in range(2, multiplier_bound + 1):
+            for k in range(2, 7):
                 if m.contains(tuple(k * x for x in u)):
                     return False
     return True

@@ -14,7 +14,6 @@ from segrecone.encech import (
     chart_contains,
     chart_coords,
     chart_generator_consistency,
-    d_on_sections,
     global_sections,
     in_lattice,
     lcoords,
@@ -170,13 +169,6 @@ def test_reduced_one_form_section_counts():
 def test_restrictions_are_surjective():
     assert restriction_map("omega_tilde", 1, 3).rank() == 19
     assert restriction_map("omega", 0, 2).rank() == 5
-
-
-def test_d_is_injective_on_ideal_sections():
-    d = d_on_sections("omega_tilde", "omega_tilde", 0, 3)
-    assert d.domain.dim == 13
-    assert d.rank() == 13
-    assert d.kernel() == []
 
 
 _F = (0, 1, 0, 1)  # a degree-one generator

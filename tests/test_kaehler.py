@@ -17,13 +17,17 @@ Hand oracles used below (all derivable with pencil and paper):
 * k[x]/(x^3): Omega^1 has basis dx, x dx and relation x^2 dx = 0.
 """
 from fractions import Fraction
+from unittest import mock
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from segrecone.errors import EngineError
 from segrecone.kaehler import (
     OMEGA_TOP,
     AlgebraPresentation,
+    DifferentialModule,
     build_differential_module,
     hodge_quotient,
     hodge_transition,
@@ -35,6 +39,7 @@ from segrecone.kaehler import (
     qn_module,
 )
 from segrecone.linalg import induced_quotient_map, vec_add
+from segrecone.monoid import cone_relation
 
 F = Fraction
 
@@ -101,12 +106,21 @@ def test_ambient_d_hand_example():
     assert img == {((1, 0, 0, 0), (2,)): F(1), ((0, 0, 1, 0), (0,)): F(1)}
 
 
-def test_class_lift_roundtrip():
-    dm = qn_module(2)
-    q = dm.quot(1)
-    for lab in dm.space(1).labels[:5]:
-        cvec = q.class_of(dm.ambient(1).basis_vector(lab))
-        assert q.class_of(dm.lift(1, cvec)) == cvec
+def test_a_d_that_does_not_descend_is_refused():
+    """Doubling the x1 dx2 coefficient before d sends the level-2 relation
+    d(x1x2 - x3x4) to dx1 dx2, which is not a relation of Omega^2."""
+    real_d = DifferentialModule.ambient_d
+    label = ((1, 0, 0, 0), (1,))
+
+    def skewed_d(self, m, vec):
+        amb = self.ambient(m)
+        return real_d(self, m, {i: 2 * c if amb.labels[i] == label else c
+                                for i, c in vec.items()})
+
+    DifferentialModule(qn_algebra(2), [cone_relation()])  # the real d descends
+    with mock.patch.object(DifferentialModule, "ambient_d", skewed_d):
+        with pytest.raises(EngineError, match="does not descend"):
+            DifferentialModule(qn_algebra(2), [cone_relation()])
 
 
 @given(st.dictionaries(st.integers(0, 9), st.integers(-3, 3), max_size=4))
@@ -144,6 +158,14 @@ def test_hodge_piece_projection():
     projection = induced_quotient_map(dm.quot(3), piece, lambda v: v)
     assert projection.rank() == 1
     assert hodge_quotient(dm, 4).dim == 0
+
+
+def test_hodge_piece_does_not_include_into_forms():
+    """d-images are zero in the Hodge piece but not in Omega^3, so the
+    identity does not descend from the piece to the forms."""
+    dm = qn_module(2)
+    with pytest.raises(EngineError, match="does not descend"):
+        induced_quotient_map(hodge_quotient(dm, 3), dm.quot(3), lambda v: v)
 
 
 def test_hodge_transition_surjective():

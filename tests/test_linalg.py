@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from segrecone import linalg
+from segrecone.errors import EngineError
 from segrecone.linalg import (
     Echelon,
     LinearMap,
@@ -328,6 +329,33 @@ def test_induced_quotient_map_commutes_with_projection():
     for lab in amb_dom.labels:
         v = amb_dom.basis_vector(lab)
         assert f.apply(qdom.class_of(v)) == qcod.class_of(amb_map.apply(v))
+
+
+def test_induced_quotient_map_refuses_a_map_that_does_not_descend():
+    amb = VectorSpaceWithBasis(["a", "b", "c"])
+    qdom = QuotientSpace(amb, [{0: 1, 1: -1}])  # a = b
+    swap_bc = LinearMap(amb, amb, [{0: 1}, {2: 1}, {1: 1}])  # a - b -> a - c
+    with pytest.raises(EngineError, match="does not descend"):
+        induced_quotient_map(qdom, QuotientSpace(amb, []), swap_bc.apply)
+    glued = QuotientSpace(amb, [{0: 1, 2: -1}])  # a = c
+    assert induced_quotient_map(qdom, glued, swap_bc.apply).rank() == 2
+
+
+@given(mats)
+def test_relations_span_the_subspace(vectors):
+    q = QuotientSpace(VectorSpaceWithBasis(range(5)), vectors)
+    rels = q.relations()
+    assert len(rels) == span_rank(rels) == span_rank(vectors) <= len(vectors)
+    ech = Echelon(rels)
+    assert all(not ech.reduce(v) for v in vectors)
+
+
+@given(mats, vecs)
+def test_class_lift_roundtrip(vectors, v):
+    q = QuotientSpace(VectorSpaceWithBasis(range(5)), vectors)
+    c = q.class_of(v)
+    assert q.lift(c) == q.project(v)  # the lift is the canonical representative
+    assert q.class_of(q.lift(c)) == c
 
 
 # -- value types: ints stay ints, nothing becomes a float ------------------
