@@ -193,11 +193,11 @@ def wedge_lambda(C: int, T):
     return _frame_wedge([CHART_GENS[C][j] for j in T])
 
 
-def _gens_sum(C, T):
-    s = (0, 0, 0, 0)
-    for j in T:
-        s = _vadd(s, CHART_GENS[C][j])
-    return s
+def _label_coords(co, T):
+    """Chart coordinates of u - sum_{j in T} g_j, given those of u: chart
+    coordinates are linear and send generator j to e_j, so this is co
+    minus the indicator of T."""
+    return tuple(x - (j in T) for j, x in enumerate(co))
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +278,12 @@ def _labels(kind: str, m: int, n: int, base: int, F, u):
     itself for F = (), an overlap for F from overlap_data."""
     spec = _spec(kind)
     amb, rel = [], []
+    co_u = chart_coords(base, u)
+    if co_u is None:  # u - sum(T) is a lattice character iff u is
+        return amb, rel
     for T in spec.pool(m):
-        co = chart_coords(base, _vadd(u, _vneg(_gens_sum(base, T))))
-        if co is None or co[0] < spec.floor(T):
+        co = _label_coords(co_u, T)
+        if co[0] < spec.floor(T):
             continue
         if any(co[j] < 0 for j in (1, 2) if j not in F):
             continue
@@ -304,13 +307,13 @@ def _d_terms(coords, T):
 
 def _chart_d_vec(C: int, u, T):
     """d of the chart label (u, T) as a vector over chart wedge labels."""
-    co = chart_coords(C, _vadd(u, _vneg(_gens_sum(C, T))))
+    co = _label_coords(chart_coords(C, u), T)
     return {newT: cf for newT, cf in _d_terms(co, T)}
 
 
 def _overlap_d_lambda(base: int, u, T):
     """d of an overlap label, directly in lattice-frame coordinates."""
-    co = chart_coords(base, _vadd(u, _vneg(_gens_sum(base, T))))
+    co = _label_coords(chart_coords(base, u), T)
     out = {}
     for newT, cf in _d_terms(co, T):
         vec_axpy(out, cf, wedge_lambda(base, newT))

@@ -10,7 +10,9 @@ a readable witness.  The de Rham d is computed on monomial lifts.  Every map
 out of a quotient here (d, the truncation transitions of the forms and of
 the Hodge pieces, and the comparison of the two models) is built by ``linalg.induced_quotient_map``,
 which checks that it descends: the relations must land in the target's
-relations.
+relations.  A module builds each d on its first use, checking it then,
+and keeps one Hodge quotient per form degree; the docstring of
+DifferentialModule says why building late skips no check.
 
 Two models are used downstream, built over the same algebra Q_n:
 
@@ -70,7 +72,16 @@ class AlgebraPresentation:
 
 
 class DifferentialModule:
-    """Tower Omega^0..Omega^up_to of a finite algebra with exact d maps."""
+    """Tower Omega^0..Omega^up_to of a finite algebra with exact d maps.
+
+    The ambient spaces and the quotients Omega^m are built here; each d(m)
+    is built on its first call and kept, and so is each Hodge quotient
+    (:func:`hodge_quotient`).  Building late skips no check: every space
+    and map is a pure function of ``(alg, rel_gens, m)``, so when it is
+    built cannot change it, and every d(m) that is built goes through
+    ``induced_quotient_map``, which checks that it descends.  A d(m) that
+    is never requested is never read, so nothing unchecked is used.
+    """
 
     def __init__(self, alg: FiniteAlgebra, rel_gens: Sequence[Polynomial],
                  up_to: int = 5):
@@ -87,9 +98,8 @@ class DifferentialModule:
             self._ambient.append(space)
             self._quot.append(
                 QuotientSpace(space, self._relation_vectors(space, m)))
-        self._d = [induced_quotient_map(self._quot[m], self._quot[m + 1],
-                                        lambda v, m=m: self.ambient_d(m, v))
-                   for m in range(up_to)]
+        self._d: dict[int, LinearMap] = {}
+        self._hodge: dict[int, QuotientSpace] = {}
 
     # -- construction internals ---------------------------------------
     def _relation_vectors(self, space: VectorSpaceWithBasis, m: int) -> list:
@@ -145,7 +155,13 @@ class DifferentialModule:
         return self._quot[m].dim
 
     def d(self, m: int) -> LinearMap:
-        return self._d[m]
+        """d: Omega^m -> Omega^(m+1), built and checked on first use."""
+        dmap = self._d.get(m)
+        if dmap is None:
+            dmap = self._d[m] = induced_quotient_map(
+                self._quot[m], self._quot[m + 1],
+                lambda v: self.ambient_d(m, v))
+        return dmap
 
     # -- ambient-level operators ----------------------------------------
     def ambient_d(self, m: int, vec: dict) -> dict:
@@ -197,12 +213,12 @@ class DifferentialModule:
 
     # -- structural checks used by the invariant suite -------------------
     def verify_d_squared(self) -> bool:
-        return all(self._d[m + 1].compose(self._d[m]).is_zero()
+        return all(self.d(m + 1).compose(self.d(m)).is_zero()
                    for m in range(self.up_to - 1))
 
     def verify_leibniz(self) -> bool:
         """d(ab) = a db + b da on classes of algebra basis elements."""
-        d0 = self._d[0]
+        d0 = self.d(0)
         for a, b in itertools.combinations_with_replacement(self.alg.basis, 2):
             prod = self.alg.mult(a, b)
             left: dict = {}
@@ -227,16 +243,16 @@ def qn_algebra(n: int) -> FiniteAlgebra:
 
 
 @lru_cache(maxsize=None)
-def qn_module(n: int, up_to: int = 5) -> DifferentialModule:
+def qn_module(n: int) -> DifferentialModule:
     """Omega^*_{Q_n}: relations from the full truncation ideal."""
     alg = qn_algebra(n)
-    return DifferentialModule(alg, list(alg.gb.elements), up_to)
+    return DifferentialModule(alg, list(alg.gb.elements))
 
 
 @lru_cache(maxsize=None)
-def q_tensor_module(n: int, up_to: int = 5) -> DifferentialModule:
+def q_tensor_module(n: int) -> DifferentialModule:
     """Omega^*_Q (x) Q_n: relations from the cone binomial only."""
-    return DifferentialModule(qn_algebra(n), [cone_relation()], up_to)
+    return DifferentialModule(qn_algebra(n), [cone_relation()])
 
 
 def _truncation_map(src: QuotientSpace, dst: QuotientSpace,
@@ -266,13 +282,17 @@ def omega_transition(m: int, n: int, tensor: bool = False) -> LinearMap:
 def hodge_quotient(dm: DifferentialModule, m: int) -> QuotientSpace:
     """Top Hodge piece HC^{(m)}_m = Omega^m / d(Omega^{m-1}) of an algebra:
     the ambient m-forms modulo the relations of Omega^m and the d-images of
-    the coordinate lifts of Omega^{m-1}."""
-    subs = dm.quot(m).relations()
-    if m >= 1:
-        amb = dm.ambient(m - 1)
-        subs += [dm.ambient_d(m - 1, amb.basis_vector(lab))
-                 for lab in dm.quot(m - 1).coord_labels]
-    return QuotientSpace(dm.ambient(m), subs)
+    the coordinate lifts of Omega^{m-1}.  Built once per module and degree
+    and kept on the module."""
+    hq = dm._hodge.get(m)
+    if hq is None:
+        subs = dm.quot(m).relations()
+        if m >= 1:
+            amb = dm.ambient(m - 1)
+            subs += [dm.ambient_d(m - 1, amb.basis_vector(lab))
+                     for lab in dm.quot(m - 1).coord_labels]
+        hq = dm._hodge[m] = QuotientSpace(dm.ambient(m), subs)
+    return hq
 
 
 @lru_cache(maxsize=None)

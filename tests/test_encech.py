@@ -4,6 +4,8 @@ Numeric oracles: section dimensions agree with the hand Kunneth counts of
 the graded layers (sums of squares for the structure and ideal sheaves;
 4 + 15 = 19 for reduced one-forms at level 3), see test_sheaf.py.
 """
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -86,6 +88,49 @@ def test_chart_coords_are_xdeg_and_two_character_entries(C, a, b, c):
     u = (a, b, a + c, b - c)
     i, j = CHART_BASE[C]
     assert chart_coords(C, u) == (xdeg(u), u[i], u[j])
+
+
+def _generator_sum(C, T):
+    """sum_{j in T} g_j over the chart-C generators."""
+    return tuple(sum(CHART_GENS[C][j][i] for j in T) for i in range(4))
+
+
+def _direct_label_coords(C, u, T):
+    """chart_coords(C, u - sum_{j in T} g_j), summing the generators."""
+    return chart_coords(C, tuple(x - s for x, s
+                                 in zip(u, _generator_sum(C, T))))
+
+
+@given(st.integers(0, 3), small, small, small, small, st.booleans())
+def test_labels_shift_chart_coordinates_by_the_wedge(C, a, b, c, e, lattice):
+    """The label walker reads u - sum(T) off the chart coordinates of u
+    (linearity); here every label is placed by the direct formula."""
+    u = (a, b, a + c, b - c) if lattice else (a, b, c, e)
+    co = chart_coords(C, u)
+    for m in range(4):
+        for T in combinations(range(3), m):
+            direct = _direct_label_coords(C, u, T)
+            assert (co is None) == (direct is None)
+            if co is not None:
+                assert encech._label_coords(co, T) == direct
+                assert encech._chart_d_vec(C, u, T) == dict(
+                    encech._d_terms(direct, T))
+    charts = [(C, ())] + [overlap_data(C, Q) for Q in range(C + 1, 4)]
+    for kind, spec in encech.KINDS.items():
+        for m in range(4):
+            for base, F in charts:
+                amb = []
+                for T in spec.pool(m):
+                    co_T = _direct_label_coords(base, u, T)
+                    if (co_T is not None and co_T[0] >= spec.floor(T)
+                            and all(co_T[j] >= 0 for j in (1, 2)
+                                    if j not in F)):
+                        amb.append((T, co_T[0]))
+                for n in (1, 2):
+                    assert encech._labels(kind, m, n, base, F, u) == (
+                        [T for T, _ in amb],
+                        [T for T, a0 in amb
+                         if a0 >= encech._rel_threshold(n, T)])
 
 
 def test_every_generator_is_regular_on_every_chart():
@@ -269,7 +314,7 @@ def _box_scan(kind, m, n):
     for C in range(4):
         v, g1, g2 = CHART_GENS[C]
         for T in spec.pool(m):
-            base = encech._gens_sum(C, T)
+            base = _generator_sum(C, T)
             for alpha in range(spec.floor(T), encech._rel_threshold(n, T)):
                 for beta in range(pad + 4):
                     for gamma in range(pad + 4):

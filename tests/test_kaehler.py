@@ -117,10 +117,43 @@ def test_a_d_that_does_not_descend_is_refused():
         return real_d(self, m, {i: 2 * c if amb.labels[i] == label else c
                                 for i, c in vec.items()})
 
-    DifferentialModule(qn_algebra(2), [cone_relation()])  # the real d descends
+    DifferentialModule(qn_algebra(2), [cone_relation()]).d(1)  # descends
     with mock.patch.object(DifferentialModule, "ambient_d", skewed_d):
+        dm = DifferentialModule(qn_algebra(2), [cone_relation()])
         with pytest.raises(EngineError, match="does not descend"):
-            DifferentialModule(qn_algebra(2), [cone_relation()])
+            dm.d(1)  # d is built, and checked, on first use
+
+
+def test_every_d_up_to_level_eight_is_built_and_descends():
+    """The levels any check or workload reads (forms-tower goes to 8).
+    Building a d checks its descent, so none of these is left unchecked
+    because no check happened to request it."""
+    for n in range(1, 9):
+        for dm in (qn_module(n), q_tensor_module(n)):
+            for m in range(dm.up_to):
+                dm.d(m)  # raises EngineError unless it descends
+            assert dm.verify_d_squared()
+
+
+def _request(dm, what, m):
+    if what == "d":
+        return dm.d(m).images
+    q = dm.quot(m) if what == "quot" else hodge_quotient(dm, m)
+    return q.coord_labels, q.relations()
+
+
+_REQUESTS = ([("d", m) for m in range(5)] + [("quot", m) for m in range(6)]
+             + [("hodge", m) for m in range(6)])
+
+
+@given(st.booleans(), st.permutations(_REQUESTS))
+def test_a_module_is_the_same_whatever_order_it_is_read_in(tensor, order):
+    alg = qn_algebra(4)
+    gens = [cone_relation()] if tensor else list(alg.gb.elements)
+    first, second = (DifferentialModule(alg, gens) for _ in range(2))
+    shuffled = {r: _request(first, *r) for r in order}
+    assert shuffled == {r: _request(second, *r) for r in _REQUESTS}
+    assert hodge_quotient(first, 3) is hodge_quotient(first, 3)
 
 
 @given(st.dictionaries(st.integers(0, 9), st.integers(-3, 3), max_size=4))
