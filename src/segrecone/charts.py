@@ -21,7 +21,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import EngineError
-from .kaehler import _wedge_insert, qn_algebra
+from .kaehler import d_terms, qn_algebra
 from .linalg import Echelon, column_dependencies, span_rank, vec_axpy
 from .polyring import mon_deg, monomials_of_degree
 from .verdict import Verdict
@@ -425,18 +425,9 @@ def _form_slice_labels(n, m, grade, reduced=False, capped=True):
 def _form_d(n, label):
     """De Rham differential on a capped slice label, exact coefficients."""
     e3, e4, ex, wedge = label
-    out = {}
-    for var, exp in ((_DY3, e3), (_DY4, e4), (_DX, ex)):
-        if exp == 0 or var in wedge:
-            continue
-        sign, new_wedge = _wedge_insert(var, wedge)
-        ne3 = e3 - (1 if var == _DY3 else 0)
-        ne4 = e4 - (1 if var == _DY4 else 0)
-        nex = ex - (1 if var == _DX else 0)
-        if _DX in new_wedge and nex > n - 2:
-            continue
-        out[(ne3, ne4, nex, new_wedge)] = exp * sign
-    return out
+    return {(*exps, new_wedge): cf
+            for exps, new_wedge, cf in d_terms((e3, e4, ex), wedge)
+            if not (_DX in new_wedge and exps[_DX] > n - 2)}
 
 
 def verify_chart_splitting(n: int, mmax: int = 3, ybound: int = 4) -> Verdict:

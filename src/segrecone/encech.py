@@ -43,7 +43,7 @@ from itertools import combinations
 from typing import Callable
 
 from .errors import BoxInstabilityError, EngineError
-from .kaehler import _wedge_insert
+from .kaehler import d_terms
 from .linalg import (Echelon, LinearMap, SpanSolver, VectorSpaceWithBasis,
                      column_dependencies, vec_axpy, vec_scale)
 from .monoid import SEGRE_CHARS
@@ -293,29 +293,17 @@ def _labels(kind: str, m: int, n: int, base: int, F, u):
     return amb, rel
 
 
-def _d_terms(coords, T):
-    """d(x^coords dw_T) = sum_j coords[j] * sign * dw_{T u j}: pairs
-    ((new T, sign * coords[j]))."""
-    out = []
-    for j in range(3):
-        if j in T or coords[j] == 0:
-            continue
-        sign, newT = _wedge_insert(j, T)
-        out.append((newT, coords[j] * sign))
-    return out
-
-
 def _chart_d_vec(C: int, u, T):
     """d of the chart label (u, T) as a vector over chart wedge labels."""
     co = _label_coords(chart_coords(C, u), T)
-    return {newT: cf for newT, cf in _d_terms(co, T)}
+    return {newT: cf for _, newT, cf in d_terms(co, T)}
 
 
 def _overlap_d_lambda(base: int, u, T):
     """d of an overlap label, directly in lattice-frame coordinates."""
     co = _label_coords(chart_coords(base, u), T)
     out = {}
-    for newT, cf in _d_terms(co, T):
+    for _, newT, cf in d_terms(co, T):
         vec_axpy(out, cf, wedge_lambda(base, newT))
     return out
 
@@ -637,8 +625,7 @@ def _d_family(cs: CharSections, vec: dict) -> dict:
     return out
 
 
-def pullback_section(kind: str, n: int, mon, wedge,
-                     solvers: dict | None = None):
+def pullback_section(kind: str, n: int, mon, wedge, solvers: dict):
     """(character, flat family) of the pullback of x^mon dx_wedge.
 
     Monomials pull back to the characters they define; each generator
@@ -654,7 +641,6 @@ def pullback_section(kind: str, n: int, mon, wedge,
         u = _vadd(u, SEGRE_CHARS[i])
     m = len(wedge)
     lam = _frame_wedge([SEGRE_CHARS[i] for i in wedge])
-    solvers = {} if solvers is None else solvers
     family = {}
     for C in range(4):
         key = ("chart", kind, m, n, C, u)

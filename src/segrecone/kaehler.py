@@ -6,7 +6,9 @@ For a finite-dimensional quotient S = k[x1..xr]/I the module of m-forms is
 
 over ideal generators g, standard monomials u and free wedge frames eta.
 Basis labels are (monomial, wedge) pairs, so every exactness failure prints
-a readable witness.  The de Rham d is computed on monomial lifts.  Every map
+a readable witness.  The de Rham d is computed on monomial lifts by
+``d_terms``, the one formula for d of a monomial form, which the chart
+models of ``encech`` and ``charts`` use as well.  Every map
 out of a quotient here (d, the truncation transitions of the forms and of
 the Hodge pieces, and the comparison of the two models) is built by ``linalg.induced_quotient_map``,
 which checks that it descends: the relations must land in the target's
@@ -27,7 +29,6 @@ non-vanishing witness carried through the K-theory assembly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -63,16 +64,23 @@ def _wedge_insert(i: int, wedge: tuple):
     return (-1) ** k, tuple(sorted(wedge + (i,)))
 
 
-@dataclass(frozen=True)
-class AlgebraPresentation:
-    """k[x1..x_nvars]/(ideal_gens + m^level): the data Omega is built from."""
-    nvars: int
-    ideal_gens: tuple
-    level: int
+def d_terms(exps: tuple, wedge: tuple) -> list:
+    """d(x^exps dx_wedge) = sum_i exps[i] x^(exps - e_i) dx_i ^ dx_wedge, one
+    term (exps - e_i, sorted wedge + (i,), sign * exps[i]) for each i with
+    exps[i] != 0 and i not in wedge.  Exponents may be negative (Laurent
+    monomials on a chart)."""
+    out = []
+    for i, e in enumerate(exps):
+        if e and i not in wedge:
+            sign, nw = _wedge_insert(i, wedge)
+            out.append((exps[:i] + (e - 1,) + exps[i + 1:], nw, sign * e))
+    return out
 
 
 class DifferentialModule:
-    """Tower Omega^0..Omega^up_to of a finite algebra with exact d maps.
+    """Tower Omega^0..Omega^up_to, up_to = nvars + 1, of a finite algebra
+    with exact d maps; Omega^up_to is zero and is there as the target of d
+    on Omega^nvars.
 
     The ambient spaces and the quotients Omega^m are built here; each d(m)
     is built on its first call and kept, and so is each Hodge quotient
@@ -83,15 +91,14 @@ class DifferentialModule:
     is never requested is never read, so nothing unchecked is used.
     """
 
-    def __init__(self, alg: FiniteAlgebra, rel_gens: Sequence[Polynomial],
-                 up_to: int = 5):
+    def __init__(self, alg: FiniteAlgebra, rel_gens: Sequence[Polynomial]):
         self.alg = alg
-        self.up_to = up_to
-        self.rel_gens = [g for g in rel_gens if not g.is_zero()]
         nv = alg.nvars
+        self.up_to = nv + 1
+        self.rel_gens = [g for g in rel_gens if not g.is_zero()]
         self._ambient: list[VectorSpaceWithBasis] = []
         self._quot: list[QuotientSpace] = []
-        for m in range(up_to + 1):
+        for m in range(self.up_to + 1):
             wedges = list(itertools.combinations(range(nv), m))
             labels = [(mon, w) for w in wedges for mon in alg.basis]
             space = VectorSpaceWithBasis(labels)
@@ -106,7 +113,6 @@ class DifferentialModule:
         if m == 0:
             return []
         alg = self.alg
-        level = alg.level if alg.level is not None else 1 << 30
         etas = list(itertools.combinations(range(alg.nvars), m - 1))
         rels = []
         for g in self.rel_gens:
@@ -114,7 +120,7 @@ class DifferentialModule:
             homogeneous = g.is_homogeneous()
             gdeg = g.total_degree()
             for u in alg.basis:
-                if homogeneous and mon_deg(u) + gdeg - 1 >= level:
+                if homogeneous and mon_deg(u) + gdeg - 1 >= alg.level:
                     continue  # every coefficient of u*dg is truncated away
                 per_i = {}
                 for i, pg in parts.items():
@@ -170,17 +176,9 @@ class DifferentialModule:
         dst = self._ambient[m + 1]
         out: dict = {}
         for idx, c in vec.items():
-            mon, wedge = src.labels[idx]
-            for i, e in enumerate(mon):
-                if not e:
-                    continue
-                sign, nw = _wedge_insert(i, wedge)
-                if not sign:
-                    continue
-                mm = list(mon)
-                mm[i] -= 1
-                j = dst.index[(tuple(mm), nw)]
-                n = out.get(j, 0) + c * sign * e
+            for mon, wedge, cf in d_terms(*src.labels[idx]):
+                j = dst.index[(mon, wedge)]
+                n = out.get(j, 0) + c * cf
                 if n:
                     out[j] = n
                 else:
@@ -229,12 +227,6 @@ class DifferentialModule:
             if left != right:
                 return False
         return True
-
-
-def build_differential_module(pres: AlgebraPresentation,
-                              up_to: int = 5) -> DifferentialModule:
-    alg = truncated_quotient(list(pres.ideal_gens), pres.level, nvars=pres.nvars)
-    return DifferentialModule(alg, list(alg.gb.elements), up_to)
 
 
 @lru_cache(maxsize=None)
@@ -326,7 +318,7 @@ def omega4_cone_check(nmax: int) -> Verdict:
             "x_times_w_zero": killed,
         }
         good = (tm.dim(4) == 1 and qm.dim(4) == (1 if n >= 2 else 0)
-                and w_class and killed)
+                and bool(w_class) and killed)
         if n < nmax:
             tnext = q_tensor_module(n + 1)
             trans = omega_transition(4, n, tensor=True)

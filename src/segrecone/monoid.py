@@ -20,7 +20,7 @@ from math import gcd
 
 from .errors import EngineError
 from .linalg import column_dependencies
-from .polyring import GREVLEX, GroebnerBasis, Polynomial, groebner
+from .polyring import GroebnerBasis, Polynomial, groebner, monomials_of_degree
 
 # generator order follows the monomial map x1 -> z1z3, x2 -> z2z4,
 # x3 -> z1z4, x4 -> z2z3, so the toric ideal is (x1x2 - x3x4)
@@ -140,7 +140,7 @@ def is_normal_up_to(m: AffineMonoid, degree_bound: int) -> bool:
     tri = _triangular_lattice_basis(m.generators)
     r = m.rank
     for total in range(1, degree_bound + 1):
-        for u in _compositions(total, r):
+        for u in monomials_of_degree(r, total):
             if m.contains(u):
                 continue
             if not lattice_contains(tri, u):
@@ -149,15 +149,6 @@ def is_normal_up_to(m: AffineMonoid, degree_bound: int) -> bool:
                 if m.contains(tuple(k * x for x in u)):
                     return False
     return True
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def cone_relation() -> Polynomial:
@@ -210,12 +201,12 @@ def toric_ideal(m: AffineMonoid, check_degree: int = 6) -> list[Polynomial]:
             continue
         seen.add(key)
         b = Polynomial(s, {plus: 1, minus: -1})
-        lm, lc = b.leading(GREVLEX)
+        lm, lc = b.leading()
         if lc < 0:
             b = -b
         binomials.append(b)
 
-    gb = groebner(binomials, GREVLEX)
+    gb = groebner(binomials)
     _certify_toric(m, gb, check_degree)
     return list(gb.elements)
 

@@ -3,10 +3,11 @@
 Coefficients follow the engine's number rule (``linalg``): ints where
 integral, exact rationals otherwise.
 
-Provides monomial orders (lex, graded lex, graded reverse lex), Buchberger's
-algorithm with inter-reduction, normal forms, and the finite-dimensional
-truncated quotient algebras k[x1..xr]/(ideal + m^n) with their monomial
-bases and lazy structure constants.
+Provides one monomial order, graded reverse lex (``grevlex_key``), which
+every computation of the engine uses; Buchberger's algorithm with
+inter-reduction, normal forms, and the finite-dimensional truncated
+quotient algebras k[x1..xr]/(ideal + m^n) with their monomial bases and
+lazy structure constants.
 
 Buchberger runs only on small ideals (the toric ideal of a monoid, or the
 homogeneous ideal under a truncation), so the plain loop with the
@@ -63,28 +64,11 @@ def monomials_of_degree(nvars: int, d: int) -> list[Monomial]:
     return out
 
 
-class MonomialOrder:
-    """Total monomial order: 'lex', 'grlex' or 'grevlex', with the variables
-    from largest to smallest in index order."""
-
-    def __init__(self, kind: str = "grevlex"):
-        if kind not in ("lex", "grlex", "grevlex"):
-            raise ValueError(f"unknown order kind {kind!r}")
-        self.kind = kind
-
-    def key(self, m: Monomial):
-        """Sort key: larger key = larger monomial."""
-        p = tuple(m)
-        if self.kind == "lex":
-            return p
-        if self.kind == "grlex":
-            return (sum(p), p)
-        # grevlex: compare degree, then the *last* differing exponent,
-        # smaller exponent wins; encoded by reversing and negating.
-        return (sum(p), tuple(-e for e in reversed(p)))
-
-
-GREVLEX = MonomialOrder("grevlex")
+def grevlex_key(m: Monomial) -> tuple:
+    """Sort key of graded reverse lex, the one monomial order: larger key =
+    larger monomial.  Degree first; then the monomial whose last differing
+    exponent is smaller wins, encoded by reversing and negating."""
+    return (sum(m), tuple(-e for e in reversed(m)))
 
 
 class Polynomial:
@@ -106,12 +90,8 @@ class Polynomial:
 
     # -- constructors -------------------------------------------------
     @staticmethod
-    def zero(nvars: int) -> "Polynomial":
-        return Polynomial(nvars, {})
-
-    @staticmethod
-    def monomial(exps: Monomial, coeff=1) -> "Polynomial":
-        return Polynomial(len(exps), {tuple(exps): coeff})
+    def monomial(exps: Monomial) -> "Polynomial":
+        return Polynomial(len(exps), {tuple(exps): 1})
 
     @staticmethod
     def variable(i: int, nvars: int) -> "Polynomial":
@@ -158,8 +138,8 @@ class Polynomial:
         degs = {mon_deg(m) for m in self.terms}
         return len(degs) <= 1
 
-    def leading(self, order: MonomialOrder) -> tuple:
-        m = max(self.terms, key=order.key)
+    def leading(self) -> tuple:
+        m = max(self.terms, key=grevlex_key)
         return m, self.terms[m]
 
     def __eq__(self, other) -> bool:
@@ -172,7 +152,7 @@ class Polynomial:
         if not self.terms:
             return "0"
         bits = []
-        for m in sorted(self.terms, key=GREVLEX.key, reverse=True):
+        for m in sorted(self.terms, key=grevlex_key, reverse=True):
             c = self.terms[m]
             mon = "*".join(f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}"
                            for i, e in enumerate(m) if e)
@@ -188,8 +168,7 @@ class Polynomial:
         return s
 
 
-def reduce_full(p: Polynomial, gens: Sequence[Polynomial],
-                order: MonomialOrder = GREVLEX) -> Polynomial:
+def reduce_full(p: Polynomial, gens: Sequence[Polynomial]) -> Polynomial:
     """Full normal form of p modulo gens: no remaining term is divisible by
     any leading monomial of gens.  Terminates because each step replaces a
     term by strictly smaller ones in a well-founded order."""
@@ -197,12 +176,12 @@ def reduce_full(p: Polynomial, gens: Sequence[Polynomial],
     for g in gens:
         if g.is_zero():
             continue
-        lm, lc = g.leading(order)
+        lm, lc = g.leading()
         prepped.append((g, lm, lc))
     work = dict(p.terms)
     out: dict = {}
     while work:
-        mon = max(work, key=order.key)
+        mon = max(work, key=grevlex_key)
         c = work.pop(mon)
         if not c:
             continue
@@ -226,9 +205,9 @@ def reduce_full(p: Polynomial, gens: Sequence[Polynomial],
     return Polynomial(p.nvars, out)
 
 
-def spoly(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
-    fm, fc = f.leading(order)
-    gm, gc = g.leading(order)
+def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
+    fm, fc = f.leading()
+    gm, gc = g.leading()
     l = mon_lcm(fm, gm)
     return (f.mul_monomial(mon_div(l, fm), _exact_div(1, fc))
             - g.mul_monomial(mon_div(l, gm), _exact_div(1, gc)))
@@ -238,13 +217,12 @@ class GroebnerBasis:
     """Reduced Groebner basis: monic elements, no term of any element
     divisible by the leading monomial of another."""
 
-    def __init__(self, order: MonomialOrder, elements: Sequence[Polynomial]):
-        self.order = order
+    def __init__(self, elements: Sequence[Polynomial]):
         self.elements = list(elements)
-        self.leads = [g.leading(order)[0] for g in self.elements]
+        self.leads = [g.leading()[0] for g in self.elements]
 
     def normal_form(self, p: Polynomial) -> Polynomial:
-        return reduce_full(p, self.elements, self.order)
+        return reduce_full(p, self.elements)
 
     def contains(self, p: Polynomial) -> bool:
         return self.normal_form(p).is_zero()
@@ -256,7 +234,7 @@ class GroebnerBasis:
         return len(self.elements)
 
 
-def groebner(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> GroebnerBasis:
+def groebner(gens: Sequence[Polynomial]) -> GroebnerBasis:
     """Buchberger with the coprime-lead criterion, then inter-reduction."""
     basis = [g for g in gens if not g.is_zero()]
     if not basis:
@@ -265,11 +243,11 @@ def groebner(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> Groe
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
     while pairs:
         i, j = pairs.pop()
-        li = basis[i].leading(order)[0]
-        lj = basis[j].leading(order)[0]
+        li = basis[i].leading()[0]
+        lj = basis[j].leading()[0]
         if mon_mul(li, lj) == mon_lcm(li, lj):  # coprime leads: S-poly reduces to 0
             continue
-        r = reduce_full(spoly(basis[i], basis[j], order), basis, order)
+        r = reduce_full(spoly(basis[i], basis[j]), basis)
         if not r.is_zero():
             basis.append(r)
             k = len(basis) - 1
@@ -280,52 +258,41 @@ def groebner(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> Groe
         changed = False
         for i in range(len(basis)):
             others = [basis[t] for t in range(len(basis)) if t != i and not basis[t].is_zero()]
-            r = reduce_full(basis[i], others, order)
+            r = reduce_full(basis[i], others)
             if r.terms != basis[i].terms:
                 basis[i] = r
                 changed = True
         basis = [g for g in basis if not g.is_zero()]
     monic = []
     for g in basis:
-        _, lc = g.leading(order)
+        _, lc = g.leading()
         monic.append(g.scale(_exact_div(1, lc)))
-    monic.sort(key=lambda g: order.key(g.leading(order)[0]))
-    return GroebnerBasis(order, monic)
+    monic.sort(key=lambda g: grevlex_key(g.leading()[0]))
+    return GroebnerBasis(monic)
 
 
 class FiniteAlgebra:
-    """Finite-dimensional quotient k[x1..xr]/I with a standard-monomial basis.
+    """Finite-dimensional quotient k[x1..xr]/I, I containing m^level, with
+    the standard monomials (all of degree < level) as basis.
 
     Normal forms of monomials are cached; products of basis elements (the
     structure constants) are therefore computed lazily on first use.
     """
 
-    def __init__(self, nvars: int, gb: GroebnerBasis, level: int | None = None):
+    def __init__(self, nvars: int, gb: GroebnerBasis, level: int):
         self.nvars = nvars
         self.gb = gb
         self.level = level
         leads = gb.leads
-        maxdeg = level if level is not None else self._standard_degree_bound()
         basis = []
-        for d in range(maxdeg):
+        for d in range(level):
             for m in monomials_of_degree(nvars, d):
                 if not any(mon_div(m, lm) is not None for lm in leads):
                     basis.append(m)
-        basis.sort(key=gb.order.key)
+        basis.sort(key=grevlex_key)
         self.basis = basis
         self.index = {m: i for i, m in enumerate(basis)}
         self._nf_cache: dict = {}
-
-    def _standard_degree_bound(self) -> int:
-        # without an explicit level, require a monomial power bound per variable
-        bound = 0
-        for i in range(self.nvars):
-            pure = [lm[i] for lm in self.gb.leads
-                    if all(e == 0 for j, e in enumerate(lm) if j != i)]
-            if not pure:
-                raise ValueError("quotient not visibly finite-dimensional; pass level")
-            bound += min(pure)
-        return bound
 
     @property
     def dim(self) -> int:
@@ -381,7 +348,6 @@ class FiniteAlgebra:
 
 
 def truncated_quotient(ideal_gens: Sequence[Polynomial], n: int,
-                       order: MonomialOrder = GREVLEX,
                        nvars: int | None = None) -> FiniteAlgebra:
     """The algebra k[x1..xr]/(I + m^n), I = (ideal_gens), m the irrelevant
     ideal.
@@ -393,8 +359,9 @@ def truncated_quotient(ideal_gens: Sequence[Polynomial], n: int,
     G of I alone (the truncation rule), not computed by Buchberger on J:
     the elements of G of degree < n, plus the degree-n monomials that no
     lead of those elements divides, sorted as ``groebner`` sorts.  The rule
-    needs homogeneous generators and a degree-compatible order (grlex or
-    grevlex); anything else raises ValueError.
+    needs homogeneous generators (inhomogeneous input raises ValueError)
+    and a degree-compatible order; the engine's one order, grevlex, is
+    one.
 
     Proof.  I and J are homogeneous ideals.  The elements of G are
     homogeneous (Buchberger on homogeneous generators forms only
@@ -425,8 +392,6 @@ def truncated_quotient(ideal_gens: Sequence[Polynomial], n: int,
     """
     if n < 1:
         raise ValueError("truncation level must be >= 1")
-    if order.kind == "lex":
-        raise ValueError("the truncation rule needs a degree-compatible order")
     if ideal_gens:
         nvars = ideal_gens[0].nvars
     elif nvars is None:
@@ -434,10 +399,10 @@ def truncated_quotient(ideal_gens: Sequence[Polynomial], n: int,
     gens = [g for g in ideal_gens if not g.is_zero()]
     if not all(g.is_homogeneous() for g in gens):
         raise ValueError("the truncation rule needs homogeneous generators")
-    basis = ([g for g in groebner(gens, order) if g.total_degree() < n]
+    basis = ([g for g in groebner(gens) if g.total_degree() < n]
              if gens else [])
-    leads = [g.leading(order)[0] for g in basis]
+    leads = [g.leading()[0] for g in basis]
     basis += [Polynomial.monomial(m) for m in monomials_of_degree(nvars, n)
               if not any(mon_div(m, lm) is not None for lm in leads)]
-    basis.sort(key=lambda g: order.key(g.leading(order)[0]))
-    return FiniteAlgebra(nvars, GroebnerBasis(order, basis), level=n)
+    basis.sort(key=lambda g: grevlex_key(g.leading()[0]))
+    return FiniteAlgebra(nvars, GroebnerBasis(basis), level=n)

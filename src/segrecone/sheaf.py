@@ -66,13 +66,9 @@ def expand_omega_twist(p: int, n: int):
     return bundle_sum((n - 2, n - 2))
 
 
-def coh_closed_form(p: int, twist, i: int) -> int:
-    """h^i of Omega^p twisted by O(n, n) (or by O(a, b) when p = 0)."""
-    if isinstance(twist, tuple):
-        if p != 0:
-            raise EngineError("asymmetric twists only make sense for p = 0")
-        return h_closed(LineBundle(*twist), i)
-    return sum(h_closed(L, i) for L in expand_omega_twist(p, twist))
+def coh_closed_form(p: int, n: int, i: int) -> int:
+    """h^i of Omega^p twisted by O(n, n)."""
+    return sum(h_closed(L, i) for L in expand_omega_twist(p, n))
 
 
 # ---------------------------------------------------------------------------

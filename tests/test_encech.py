@@ -29,6 +29,7 @@ from segrecone.encech import (
     xdeg,
 )
 from segrecone.errors import BoxInstabilityError, EngineError
+from segrecone.kaehler import d_terms
 from segrecone.linalg import VectorSpaceWithBasis
 from segrecone.monoid import SEGRE_CHARS
 
@@ -113,8 +114,8 @@ def test_labels_shift_chart_coordinates_by_the_wedge(C, a, b, c, e, lattice):
             assert (co is None) == (direct is None)
             if co is not None:
                 assert encech._label_coords(co, T) == direct
-                assert encech._chart_d_vec(C, u, T) == dict(
-                    encech._d_terms(direct, T))
+                assert encech._chart_d_vec(C, u, T) == {
+                    newT: cf for _, newT, cf in d_terms(direct, T)}
     charts = [(C, ())] + [overlap_data(C, Q) for Q in range(C + 1, 4)]
     for kind, spec in encech.KINDS.items():
         for m in range(4):
@@ -242,8 +243,8 @@ def test_map_from_raises_the_given_error_on_a_non_section():
 
 
 def test_pullback_respects_the_cone_relation():
-    u12, f12 = pullback_section("ideal_power", 3, (1, 1, 0, 0), ())
-    u34, f34 = pullback_section("ideal_power", 3, (0, 0, 1, 1), ())
+    u12, f12 = pullback_section("ideal_power", 3, (1, 1, 0, 0), (), {})
+    u34, f34 = pullback_section("ideal_power", 3, (0, 0, 1, 1), (), {})
     assert u12 == u34 == (1, 1, 1, 1)
     assert f12 == f34
 

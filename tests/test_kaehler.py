@@ -17,6 +17,7 @@ Hand oracles used below (all derivable with pencil and paper):
 * k[x]/(x^3): Omega^1 has basis dx, x dx and relation x^2 dx = 0.
 """
 from fractions import Fraction
+from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -26,9 +27,8 @@ from hypothesis import strategies as st
 from segrecone.errors import EngineError
 from segrecone.kaehler import (
     OMEGA_TOP,
-    AlgebraPresentation,
     DifferentialModule,
-    build_differential_module,
+    d_terms,
     hodge_quotient,
     hodge_transition,
     omega4_cone_check,
@@ -40,6 +40,7 @@ from segrecone.kaehler import (
 )
 from segrecone.linalg import induced_quotient_map, vec_add
 from segrecone.monoid import cone_relation
+from segrecone.polyring import truncated_quotient
 
 F = Fraction
 
@@ -104,6 +105,41 @@ def test_ambient_d_hand_example():
     img = {dm.ambient(1).labels[i]: c
            for i, c in dm.ambient_d(0, v).items()}
     assert img == {((1, 0, 0, 0), (2,)): F(1), ((0, 0, 1, 0), (0,)): F(1)}
+
+
+def product_rule(exps, wedge):
+    """d(x^a dx_T) = sum_i a_i x^(a - e_i) dx_i ^ dx_T, with dx_i ^ dx_T
+    sorted by the sign of the permutation that sorts (i, *T)."""
+    out = {}
+    for i, e in enumerate(exps):
+        if e == 0 or i in wedge:
+            continue
+        seq = (i,) + wedge
+        inversions = sum(1 for p, q in combinations(seq, 2) if p > q)
+        lowered = tuple(x - (j == i) for j, x in enumerate(exps))
+        out[(lowered, tuple(sorted(seq)))] = (-1) ** inversions * e
+    return out
+
+
+laurent_exps = st.integers(3, 4).flatmap(
+    lambda r: st.tuples(*[st.integers(-3, 3)] * r))
+
+
+@given(laurent_exps)
+def test_d_terms_is_the_product_rule(exps):
+    for m in range(len(exps) + 1):
+        for wedge in combinations(range(len(exps)), m):
+            terms = d_terms(exps, wedge)
+            assert len({t[:2] for t in terms}) == len(terms)
+            assert all(cf for _, _, cf in terms)
+            assert {(e, w): cf for e, w, cf in terms} == \
+                product_rule(exps, wedge)
+
+
+def test_omega4_check_fails_when_the_top_class_is_zero():
+    with mock.patch.object(DifferentialModule, "class_vec",
+                           lambda self, m, mon, wedge: {}):
+        assert omega4_cone_check(2).ok is False
 
 
 def test_a_d_that_does_not_descend_is_refused():
@@ -226,7 +262,9 @@ def test_pro_exterior_power_comparison():
 
 
 def test_one_variable_truncation_module():
-    dm = build_differential_module(AlgebraPresentation(1, (), 3), up_to=2)
+    line = truncated_quotient([], 3, nvars=1)
+    dm = DifferentialModule(line, line.gb.elements)
+    assert dm.up_to == 2
     assert dm.alg.dim == 3
     assert dm.dim(1) == 2
     assert dm.dim(2) == 0

@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic, Groebner bases, truncated quotient algebras."""
 from contextlib import ExitStack
 from fractions import Fraction
+from functools import cmp_to_key
 from math import comb
 from unittest import mock
 
@@ -10,10 +11,9 @@ from hypothesis import strategies as st
 
 from segrecone import linalg, polyring
 from segrecone.polyring import (
-    GREVLEX,
     FiniteAlgebra,
-    MonomialOrder,
     Polynomial,
+    grevlex_key,
     groebner,
     mon_deg,
     mon_div,
@@ -53,9 +53,27 @@ def test_monomials_of_degree_count():
 
 def test_grevlex_leading_term():
     p = Polynomial(2, {(2, 0): 1, (1, 1): 1, (0, 2): 1})
-    assert p.leading(GREVLEX)[0] == (2, 0)
+    assert p.leading()[0] == (2, 0)
     # same degree: the cone binomial leads with x1*x2
-    assert CONE_REL.leading(GREVLEX) == ((1, 1, 0, 0), F(1))
+    assert CONE_REL.leading() == ((1, 1, 0, 0), F(1))
+
+
+def grevlex_compare(a, b):
+    """Graded reverse lex as textbooks define it (Cox-Little-O'Shea, ch. 2
+    sec. 2): a > b iff deg a > deg b, or the degrees are equal and the
+    rightmost nonzero entry of a - b is negative."""
+    if sum(a) != sum(b):
+        return 1 if sum(a) > sum(b) else -1
+    diff = [x - y for x, y in zip(a, b) if x != y]
+    if not diff:
+        return 0
+    return 1 if diff[-1] < 0 else -1
+
+
+@given(st.lists(st.tuples(*[st.integers(0, 3)] * 4), unique=True, max_size=12))
+def test_grevlex_key_sorts_as_the_textbook_order(mons):
+    assert sorted(mons, key=grevlex_key) == sorted(
+        mons, key=cmp_to_key(grevlex_compare))
 
 
 # -- polynomial ring ----------------------------------------------------------
@@ -103,11 +121,11 @@ def all_fraction():
 def rule_results(f, g, h, c):
     p, q, r = (Polynomial(2, t) for t in (f, g, h))
     out = {"add": p + q, "mul": p * q, "scale": p.scale(c),
-           "reduce": reduce_full(p, [q, r], GREVLEX)}
+           "reduce": reduce_full(p, [q, r])}
     if not (q.is_zero() or r.is_zero()):
-        out["spoly"] = spoly(q, r, GREVLEX)
+        out["spoly"] = spoly(q, r)
     if not (q.is_zero() and r.is_zero()):
-        out["groebner"] = list(groebner([q, r], GREVLEX))
+        out["groebner"] = list(groebner([q, r]))
     return out
 
 
@@ -134,31 +152,31 @@ def test_reduce_full_hand_example():
     # divide x^2 y + x y by (x y - 1): remainder is x + 1
     f = Polynomial(2, {(2, 1): 1, (1, 1): 1})
     g = Polynomial(2, {(1, 1): 1, (0, 0): -1})
-    nf = reduce_full(f, [g], GREVLEX)
+    nf = reduce_full(f, [g])
     assert nf == Polynomial(2, {(1, 0): 1, (0, 0): 1})
 
 
 def test_spoly_cancels_leading_terms():
     f = Polynomial(2, {(2, 0): 1, (0, 1): -1})
     g = Polynomial(2, {(1, 1): 1, (0, 0): -1})
-    s = spoly(f, g, GREVLEX)
-    lcm = mon_lcm(f.leading(GREVLEX)[0], g.leading(GREVLEX)[0])
+    s = spoly(f, g)
+    lcm = mon_lcm(f.leading()[0], g.leading()[0])
     assert all(m != lcm for m in s.terms)
 
 
 def test_groebner_buchberger_criterion():
     f = Polynomial(2, {(2, 0): 1, (0, 1): -1})  # x^2 - y
     g = Polynomial(2, {(0, 2): 1, (1, 0): -1})  # y^2 - x
-    gb = groebner([f, g], GREVLEX)
+    gb = groebner([f, g])
     els = list(gb)
     for i in range(len(els)):
         for j in range(i + 1, len(els)):
-            assert gb.normal_form(spoly(els[i], els[j], GREVLEX)).is_zero()
+            assert gb.normal_form(spoly(els[i], els[j])).is_zero()
     assert gb.contains(f) and gb.contains(g)
 
 
 def test_groebner_of_single_binomial_is_itself():
-    gb = groebner([CONE_REL], GREVLEX)
+    gb = groebner([CONE_REL])
     assert len(gb) == 1
     assert list(gb)[0] == CONE_REL
     # x1*x2 reduces to x3*x4
@@ -170,7 +188,7 @@ def test_groebner_of_single_binomial_is_itself():
 def test_normal_form_idempotent_and_kills_ideal(p, q):
     f = Polynomial(2, {(2, 0): 1, (0, 1): -1})
     g = Polynomial(2, {(0, 2): 1, (1, 0): -1})
-    gb = groebner([f, g], GREVLEX)
+    gb = groebner([f, g])
     nf = gb.normal_form(p)
     assert gb.normal_form(nf) == nf
     assert gb.normal_form(p + f * q) == nf
@@ -237,23 +255,31 @@ TRUNCATION_CASES = (
     + [("twisted-cubic", _twisted_cubic_minors(), 4, n) for n in range(1, 6)])
 
 
+def grlex_key(m):
+    """Graded lex: another degree-compatible order."""
+    return (sum(m), tuple(m))
+
+
 @pytest.mark.parametrize("kind", ["grevlex", "grlex"])
 @pytest.mark.parametrize("name,gens,nvars,n", TRUNCATION_CASES,
                          ids=[f"{c[0]}-n{c[3]}" for c in TRUNCATION_CASES])
 def test_truncation_rule_matches_buchberger(name, gens, nvars, n, kind):
-    order = MonomialOrder(kind)
-    alg = truncated_quotient(gens, n, order, nvars=nvars)
-    full = groebner(gens + [Polynomial.monomial(m)
-                            for m in monomials_of_degree(nvars, n)], order)
-    assert alg.gb.elements == full.elements  # same elements, same order
-    assert alg.basis == FiniteAlgebra(nvars, full, level=n).basis
+    """The engine runs grevlex only, but the rule's proof needs only a
+    degree-compatible order, so it is also checked with grlex swapped in
+    for the key throughout polyring (as all_fraction swaps the number
+    rule)."""
+    with ExitStack() as stack:
+        if kind == "grlex":
+            stack.enter_context(
+                mock.patch.object(polyring, "grevlex_key", grlex_key))
+        alg = truncated_quotient(gens, n, nvars=nvars)
+        full = groebner(gens + [Polynomial.monomial(m)
+                                for m in monomials_of_degree(nvars, n)])
+        assert alg.gb.elements == full.elements  # same elements, same order
+        assert alg.basis == FiniteAlgebra(nvars, full, level=n).basis
 
 
-def test_truncation_rule_refuses_lex_and_inhomogeneous_input():
-    with pytest.raises(ValueError, match="degree-compatible"):
-        truncated_quotient([CONE_REL], 3, MonomialOrder("lex"))
-    with pytest.raises(ValueError, match="degree-compatible"):
-        truncated_quotient([], 3, MonomialOrder("lex"), nvars=2)
+def test_truncation_rule_refuses_inhomogeneous_input():
     inhomogeneous = CONE_REL + Polynomial.variable(0, 4)
     with pytest.raises(ValueError, match="homogeneous"):
         truncated_quotient([inhomogeneous], 3)

@@ -70,13 +70,10 @@ def test_expand_omega_twist():
 
 
 def test_coh_closed_form_values():
-    assert coh_closed_form(0, (1, 1), 0) == 4
     assert coh_closed_form(0, 2, 0) == 9
     assert coh_closed_form(1, 1, 0) == 0  # neither summand has sections
     assert coh_closed_form(1, 2, 0) == 6
     assert coh_closed_form(2, 3, 0) == 4
-    with pytest.raises(EngineError):
-        coh_closed_form(1, (1, 1), 0)
 
 
 def test_audit_flags_exactly_the_misindexed_item():
