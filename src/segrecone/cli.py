@@ -59,7 +59,8 @@ def _check_coh_main(cfg: Config):
 
 def _check_key_seq(cfg: Config):
     """Certified layer totals of the graded sequences against the section
-    counts the chart engine produces directly."""
+    counts the chart engine produces directly; a cell whose total is not
+    certified is a witness, since it compares nothing."""
     witnesses = []
     dims = {}
     for m in range(4):
@@ -67,6 +68,7 @@ def _check_key_seq(cfg: Config):
             total, certified = sheaf.h_filtered(
                 sheaf.filtration_tilde_omega(m, n), 0)
             if not certified:
+                witnesses.append({"m": m, "n": n, "certified": False})
                 continue
             direct = encech.global_sections("omega_tilde", m, n).dim
             dims[(m, n)] = [total, direct]

@@ -252,11 +252,16 @@ def verify_K5plus_inputs(nmax: int) -> Verdict:
 def _hc_target_dim_two_ways(m: int, n: int) -> int:
     """Sections of the top cyclic quotient sheaf, computed by the chart
     engine and re-derived from the certified line-bundle filtration count
-    plus the section-level surjection; disagreement is a hard error."""
+    plus the section-level surjection; an uncertified filtration count or
+    any disagreement is a hard error."""
     cech = global_sections("hc_top", m, n).dim
     tilde_cech = global_sections("omega_tilde", m, n).dim
     total, certified = h_filtered(filtration_tilde_omega(m, n), 0)
-    if certified and total != tilde_cech:
+    if not certified:
+        raise CrossCheckError(
+            f"reduced {m}-form sections at level {n}: the filtration count "
+            f"{total} is not certified")
+    if total != tilde_cech:
         raise CrossCheckError(
             f"reduced {m}-form sections at level {n}: filtration {total} "
             f"!= chart computation {tilde_cech}")

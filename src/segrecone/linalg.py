@@ -12,11 +12,20 @@ Key choices:
   Labels are ints or tuples; zero coefficients are never stored.
 * Elimination keeps a forward echelon (one row per pivot, pivot = smallest
   label in the row, pivot coefficient 1) instead of a maintained RREF.
-  Reducing a vector visits its labels in increasing order via a heap;
-  subtracting a row only introduces labels larger than that row's pivot, so
-  one pass terminates with a residual supported away from every pivot.  The
-  residual is linear in the input and vanishes exactly on the row span,
-  which makes it a canonical coordinate vector for the quotient by the span.
+  Reducing a vector visits its pivot labels in increasing order via a
+  heap; subtracting a row only introduces labels larger than that row's
+  pivot, so one pass terminates with a residual supported away from every
+  pivot.  The residual is linear in the input and vanishes exactly on the
+  row span, which makes it a canonical coordinate vector for the quotient
+  by the span.
+* Only pivot labels go on that heap, each when its entry appears, and
+  there is no set of visited labels: a row's labels are never below its
+  pivot, so the labels popped never decrease and an eliminated label never
+  comes back.  A popped label whose entry is already gone (it cancelled,
+  or an earlier copy of the label was eliminated) is skipped.  A stored
+  row is the residual itself when its lead is 1: that residual is the
+  fresh dict ``reduce`` built with :func:`vec_clean`, so no caller holds
+  it.
 * This module owns the number rule for the whole engine: every exact
   coefficient, here or in a polynomial, is stored through :func:`_exact`,
   divided through :func:`_exact_div` and accumulated through
@@ -145,27 +154,22 @@ class Echelon:
         supported away from the pivots.
         """
         v = vec_clean(vec)
-        heap = list(v)
+        rows = self._rows
+        heap = [k for k in v if k in rows]
         heapq.heapify(heap)
-        seen = set()
         while heap:
             k = heapq.heappop(heap)
-            if k in seen:
-                continue
-            seen.add(k)
             c = v.get(k)
-            if not c:
-                continue
-            row = self._rows.get(k)
-            if row is None:
+            if c is None:  # a repeated label, already eliminated
                 continue
             if _record is not None:
                 _record[k] = _record.get(k, 0) + c
-            for kk, cc in row.items():
-                n = v.get(kk, 0) - c * cc
+            for kk, cc in rows[k].items():
+                old = v.get(kk, 0)
+                n = old - c * cc
                 if n:
                     v[kk] = n
-                    if kk not in seen:
+                    if not old and kk in rows:
                         heapq.heappush(heap, kk)
                 else:
                     v.pop(kk, None)
@@ -215,7 +219,9 @@ class Echelon:
     def _store(self, res: Vec) -> None:
         p = min(res)
         lead = res[p]
-        self._rows[p] = {k: _exact_div(c, lead) for k, c in res.items()}
+        # ``res`` is the fresh dict of ``reduce``, so a unit lead keeps it
+        self._rows[p] = res if lead == 1 else {
+            k: _exact_div(c, lead) for k, c in res.items()}
 
 
 def span_rank(vectors: Iterable[Mapping]) -> int:

@@ -6,6 +6,10 @@ Two independent computations of every dimension:
   h1 = max(-m-1, 0), combined by the Kunneth rule;
 * a character-by-character Cech complex over the four standard affine
   charts, computed with exact rank arithmetic and a box-stability guard.
+  The complex of the 15 chart intersections is built once, at import;
+  each character ranks the upward-closed subcomplex of the faces where it
+  is a section.  ``_char_cohomology`` gives the argument, and says why
+  there is no memo over the 16 sign patterns yet.
 
 On top of these sit the twisted-form expansions, the audited dimension
 formula table (one published index is wrong and is reported, not patched),
@@ -77,44 +81,66 @@ def coh_closed_form(p: int, n: int, i: int) -> int:
 _CHARTS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _section_present(subset, p, q, a, b):
-    """Is the character (p, q) a section of O(a, b) on this intersection?"""
-    proj0 = {u[0] for u in subset}
-    proj1 = {u[1] for u in subset}
-    ok_p = True if len(proj0) == 2 else (p >= 0 if proj0 == {0} else p <= a)
-    ok_q = True if len(proj1) == 2 else (q >= 0 if proj1 == {0} else q <= b)
-    return ok_p and ok_q
+def _need(face) -> int:
+    """Condition mask of a face: the character (p, q) is a section of
+    O(a, b) on the intersection iff every bit of it is set in ``have``.
+    A coordinate whose projection is one chart gives one condition (1 for
+    ``p >= 0``, 2 for ``p <= a``, 4 for ``q >= 0``, 8 for ``q <= b``);
+    both charts give none."""
+    need = 0
+    for axis in (0, 1):
+        proj = {u[axis] for u in face}
+        if len(proj) == 1:
+            need |= 1 << (2 * axis + proj.pop())
+    return need
+
+
+def _coboundary_column(face, cofaces) -> dict:
+    """The Cech coboundary of the basis cochain at ``face``: the sign of
+    each (k+2)-face T = face + {extra} is (-1) to the position of extra in
+    sorted T."""
+    col = {}
+    for extra in _CHARTS:
+        if extra not in face:
+            T = tuple(sorted(face + (extra,)))
+            col[cofaces.index(T)] = (-1) ** T.index(extra)
+    return col
+
+
+# The full complex, built once: _SUBSETS[k] are the (k+1)-chart faces,
+# _NEEDS[k] their condition masks and _COBOUNDARY[k] their coboundary
+# columns, keyed by position in _SUBSETS[k + 1].
+_SUBSETS = tuple(tuple(combinations(_CHARTS, k + 1)) for k in range(4))
+_NEEDS = tuple(tuple(_need(S) for S in faces) for faces in _SUBSETS)
+_COBOUNDARY = tuple(
+    tuple(_coboundary_column(S, _SUBSETS[k + 1]) for S in _SUBSETS[k])
+    for k in range(3))
 
 
 def _char_cohomology(p, q, a, b):
-    """h^0..h^3 of the alternating Cech complex of O(a, b) at one character."""
-    levels = []
+    """h^0..h^3 of the alternating Cech complex of O(a, b) at one character.
+
+    The complex at (p, q) is the subcomplex of the full four-chart complex
+    spanned by the faces whose need is contained in the character's mask
+    ``have``.  The full columns need no filtering: if T contains S, each
+    projection of T contains that of S, so a coordinate restricted on T is
+    restricted the same way on S and ``need(T)`` is contained in
+    ``need(S)``.  The present faces are therefore closed upward, and the
+    coboundary column of a present face lands in present faces only.  Every
+    character's complex is still built and ranked; the ranks depend only on
+    ``have``, so a memo over the 16 masks would be exact, but it makes
+    ``cech-audit`` too short for the benchmark to time (ROADMAP #1, #3).
+    """
+    have = (p >= 0) | (p <= a) << 1 | (q >= 0) << 2 | (q <= b) << 3
+    dims = []
+    ranks = [0]
     for k in range(4):
-        present = [S for S in combinations(_CHARTS, k + 1)
-                   if _section_present(S, p, q, a, b)]
-        levels.append(present)
-    index = [{S: j for j, S in enumerate(lev)} for lev in levels]
-    ranks = []
-    for k in range(3):
-        cols = []
-        for S in levels[k]:
-            col = {}
-            for extra in _CHARTS:
-                if extra in S:
-                    continue
-                T = tuple(sorted(S + (extra,)))
-                if T not in index[k + 1]:
-                    continue
-                col[index[k + 1][T]] = (-1) ** T.index(extra)
-            cols.append(col)
-        ranks.append(span_rank(cols))
-    hs = []
-    for k in range(4):
-        dim = len(levels[k])
-        out_rank = ranks[k] if k < 3 else 0
-        in_rank = ranks[k - 1] if k > 0 else 0
-        hs.append(dim - out_rank - in_rank)
-    return hs
+        present = [j for j, need in enumerate(_NEEDS[k]) if need & have == need]
+        dims.append(len(present))
+        if k < 3:
+            ranks.append(span_rank([_COBOUNDARY[k][j] for j in present]))
+    ranks.append(0)
+    return [dims[k] - ranks[k] - ranks[k + 1] for k in range(4)]
 
 
 @lru_cache(maxsize=None)

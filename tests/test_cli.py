@@ -189,6 +189,17 @@ def test_coh_main_fails_when_a_closed_form_disagrees(capsys, monkeypatch):
         [{"closed_vs_oracle": [1, 2, 0]}]
 
 
+def test_key_seq_fails_when_no_cell_is_certified(capsys, monkeypatch):
+    monkeypatch.setattr(sheaf, "h_filtered", lambda filt, i: (0, False))
+    code, out, _ = run(capsys, "verify", "key-seq")
+    assert code == 1
+    rec = json.loads(out)["checks"][0]
+    assert rec["verdict"] == "FAIL"
+    assert rec["dims"] == {}
+    assert rec["witnesses"] == [{"m": m, "n": n, "certified": False}
+                                for m in range(4) for n in range(1, 5)]
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify", "euler", "--out", str(target))

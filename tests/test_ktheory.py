@@ -14,7 +14,8 @@ Hand corroboration pinned here:
 """
 import pytest
 
-from segrecone.errors import EngineError
+from segrecone import ktheory
+from segrecone.errors import CrossCheckError, EngineError
 from segrecone.kaehler import hodge_quotient, qn_module
 from segrecone.ktheory import (
     HYPOTHESES,
@@ -100,6 +101,12 @@ def test_weight_three_kernel_dims():
     assert kernel.dims() == {1: 0, 2: 4, 3: 13}
     with pytest.raises(EngineError):
         compute_K3(1)
+
+
+def test_weight_three_refuses_an_uncertified_filtration(monkeypatch):
+    monkeypatch.setattr(ktheory, "h_filtered", lambda filt, i: (0, False))
+    with pytest.raises(CrossCheckError, match="not certified"):
+        compute_K3(3)
 
 
 def test_weight_three_level_two_by_hand():

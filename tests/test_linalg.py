@@ -295,6 +295,62 @@ def test_echelon_and_kernel_match_dense_elimination(a):
                        for v in ker]) == len(ker)
 
 
+@st.composite
+def shared_pivot_matrices(draw):
+    """Rows whose elimination pushes one pivot label several times: head
+    rows 0..h-1 each also carry the labels h..h+s-1, which are the pivots
+    of the shared rows, and those carry the tail labels after them."""
+    h, s, t = (draw(st.integers(2, 4)), draw(st.integers(1, 2)),
+               draw(st.integers(0, 2)))
+    nonzero = fracs.filter(bool)
+    heads = [{i: draw(nonzero)} | {h + j: draw(fracs) for j in range(s)}
+             for i in range(h)]
+    shared = [{h + j: draw(nonzero)} | {h + s + k: draw(fracs)
+                                        for k in range(t)}
+              for j in range(s)]
+    return [[row.get(j, F(0)) for j in range(h + s + t)]
+            for row in heads + shared]
+
+
+@given(shared_pivot_matrices(), st.data())
+def test_echelon_with_repeated_heap_labels_matches_dense_elimination(a, data):
+    ncols = len(a[0])
+    rows = [vec_clean(dict(enumerate(r))) for r in a]
+    rank = dense_rank(a)
+    ech = Echelon(rows)
+    assert ech.rank == len(ech.pivots) == rank
+    coeffs = data.draw(st.lists(fracs, min_size=len(rows), max_size=len(rows)))
+    member = combine(coeffs, rows)
+    assert ech.reduce(member) == {}
+    assert SpanSolver(rows).express(member) is not None
+    probe = data.draw(st.dictionaries(st.integers(0, ncols - 1), fracs))
+    res = ech.reduce(probe)
+    assert not set(res) & ech.pivots
+    diff = vec_add(res, vec_scale(-1, vec_clean(probe)))
+    assert dense_rank(a + [[diff.get(j, F(0)) for j in range(ncols)]]) == rank
+    for dep in column_dependencies(rows):
+        assert combine([dep.get(i, 0) for i in range(len(rows))], rows) == {}
+
+
+def test_echelon_keeps_no_reference_to_its_inputs():
+    ech = Echelon()
+    first, second = {0: 1, 1: 2}, {1: 3, 2: 1}
+    ech.add(first)
+    ech.add(second)
+    tracked = Echelon(track=True)
+    third = {0: 1, 2: -1}
+    tracked.add_for_dependency(third, "c")
+    for v in (first, second, third):
+        v[0] = 5
+        v[3] = 7
+    for row in ech.rows() + tracked.rows():
+        row.clear()
+    assert ech.rows() == [{0: 1, 1: 2}, {1: 1, 2: F(1, 3)}]
+    assert ech.reduce({0: 1}) == {2: F(2, 3)}
+    assert tracked.reduce({0: 1, 3: 1}) == {2: 1, 3: 1}
+    assert tracked.add_for_dependency({0: 2, 2: -2}, "d") == {"d": 1, "c": -2}
+
+
 # -- quotient spaces --------------------------------------------------------
 
 def test_quotient_identifies_glued_labels():

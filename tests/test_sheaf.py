@@ -3,11 +3,17 @@
 Every numeric oracle below is the classical Kunneth count
 h^i(O(a,b)) = sum h^p(O(a)) * h^{i-p}(O(b)) with
 h^0(O(m)) = max(m+1, 0) and h^1(O(m)) = max(-m-1, 0), computable by hand.
+The Cech kernel itself is also compared, character by character, with the
+complex written out from its definition at the end of this file.
 """
+from itertools import combinations
+
 from hypothesis import given
 from hypothesis import strategies as st
 
-from segrecone.errors import EngineError
+from segrecone import sheaf
+from segrecone.errors import BoxInstabilityError, EngineError
+from segrecone.linalg import span_rank
 from segrecone.sheaf import (
     GradedFiltration,
     LineBundle,
@@ -139,3 +145,110 @@ def test_euler_identification():
         "h0_restricted_cotangent_twist": 0,
         "h1_restricted_cotangent_twist": 0,
     }
+
+
+# -- the four-chart Cech complex, built once ----------------------------------
+
+CHARTS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def present_by_projection(face, p, q, a, b):
+    """A character is a section on an intersection when each coordinate
+    whose projection is a single chart satisfies that chart's condition."""
+    conds = []
+    for axis, x, top in ((0, p, a), (1, q, b)):
+        proj = {u[axis] for u in face}
+        if proj == {0}:
+            conds.append(x >= 0)
+        elif proj == {1}:
+            conds.append(x <= top)
+    return all(conds)
+
+
+def complex_ranks(levels):
+    """Ranks of the coboundaries of the complex on these faces, each column
+    restricted to the faces present one level up, with the sign of sorted
+    insertion."""
+    index = [{T: j for j, T in enumerate(lev)} for lev in levels]
+    ranks = []
+    for k in range(3):
+        cols = []
+        for S in levels[k]:
+            col = {}
+            for extra in CHARTS:
+                T = tuple(sorted(S + (extra,)))
+                if extra not in S and T in index[k + 1]:
+                    col[index[k + 1][T]] = (-1) ** T.index(extra)
+            cols.append(col)
+        ranks.append(span_rank(cols))
+    return ranks
+
+
+def cohomology_by_definition(p, q, a, b, memo):
+    levels = tuple(tuple(S for S in combinations(CHARTS, k + 1)
+                         if present_by_projection(S, p, q, a, b))
+                   for k in range(4))
+    if levels not in memo:  # the ranks depend only on the faces present
+        memo[levels] = complex_ranks(levels)
+    ranks = [0] + memo[levels] + [0]
+    return [len(levels[k]) - ranks[k] - ranks[k + 1] for k in range(4)]
+
+
+def test_char_cohomology_matches_the_complex_built_per_character():
+    """At every character of every ``_cech_all`` box for a, b in -8..8,
+    the kernel's h^0..h^3 equal those of the complex built from the
+    definition: presence by chart projections, columns restricted to the
+    present faces."""
+    memo = {}
+    characters = 0
+    for a in range(-8, 9):
+        for b in range(-8, 9):
+            for p in range(min(a, -2 - a) - 1, max(a, -2 - a) + 2):
+                for q in range(min(b, -2 - b) - 1, max(b, -2 - b) + 2):
+                    assert sheaf._char_cohomology(p, q, a, b) == \
+                        cohomology_by_definition(p, q, a, b, memo), (p, q, a, b)
+                    characters += 1
+    assert characters == 197 ** 2  # the widths |2a + 2| + 3 sum to 197
+    assert len(memo) > 1
+
+
+def test_cech_constants_form_a_complex_with_upward_closed_supports():
+    faces = sheaf._SUBSETS
+    assert [len(lev) for lev in faces] == [4, 6, 4, 1]
+    for k in range(2):  # d d = 0 on the full complex
+        for col in sheaf._COBOUNDARY[k]:
+            image = {}
+            for j, c in col.items():
+                for i, cc in sheaf._COBOUNDARY[k + 1][j].items():
+                    image[i] = image.get(i, 0) + c * cc
+            assert not any(image.values())
+    # (x, top) with x >= 0 and x <= top true or false as the mask bits say
+    witness = {(True, True): (0, 0), (True, False): (1, 0),
+               (False, True): (-1, 0), (False, False): (-1, -3)}
+    for have in range(16):
+        (p, a), (q, b) = (witness[bool(have & lo), bool(have & hi)]
+                          for lo, hi in ((1, 2), (4, 8)))
+        mask = (p >= 0) | (p <= a) << 1 | (q >= 0) << 2 | (q <= b) << 3
+        assert mask == have
+        present = [{S for S, need in zip(faces[k], sheaf._NEEDS[k])
+                    if need & have == need} for k in range(4)]
+        assert present == [{S for S in faces[k]
+                            if present_by_projection(S, p, q, a, b)}
+                           for k in range(4)]
+        for k in range(3):
+            for S in present[k]:
+                cofaces = {T for T in faces[k + 1] if set(S) < set(T)}
+                assert cofaces <= present[k + 1]
+                assert {faces[k + 1][j] for j in
+                        sheaf._COBOUNDARY[k][faces[k].index(S)]} == cofaces
+
+
+def test_a_section_on_the_box_boundary_is_refused(monkeypatch):
+    real = sheaf._char_cohomology
+
+    def stray_section(p, q, a, b):
+        return [1, 0, 0, 0] if (p, q) == (-3, 0) else real(p, q, a, b)
+
+    monkeypatch.setattr(sheaf, "_char_cohomology", stray_section)
+    with pytest.raises(BoxInstabilityError, match=r"O\(0,0\).*\(-3,0\)"):
+        sheaf._cech_all.__wrapped__(0, 0)
