@@ -14,14 +14,20 @@ The module provides the imperfection modules D1(An/A) and D1(An/Qn), the
 explicit conormal model G_n/J_n for the latter, the window-1 vanishing of the
 reduced conormal tower, and the structure of full and relative differential
 forms on An.
+
+The generator images live only in CHART_IMAGES; the conormal generators,
+their grades and beta read them from there.  The forms on An come from
+encech: An is its chart 0, with fiber x1 and base coordinates y3, y4, so
+the forms of chart grade (a, b, c) are the chart-0 labels of encech's
+walker at the character chart_char(0, (a, b, c)), with d from
+_chart_d_vec.  Their wedge indices 0, 1, 2 stand for dx1, dy3, dy4.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-
+from .encech import _chart_d_vec, _labels, chart_char
 from .errors import EngineError
-from .kaehler import d_terms, qn_algebra
+from .kaehler import qn_algebra
 from .linalg import Echelon, column_dependencies, span_rank, vec_axpy
 from .polyring import mon_deg, monomials_of_degree
 from .verdict import Verdict
@@ -93,14 +99,11 @@ def _ring_mul(n: int, mono, e_extra, dy3=0, dy4=0):
 
 
 # generators g_i = x_i - alpha(x_i), i = 2, 3, 4, as lists of
-# (coeff, e_extra, dy3, dy4) acting by multiplication
-_G_TERMS = {
-    2: ((1, (0, 1, 0, 0), 0, 0), (-1, (1, 0, 0, 0), 1, 1)),
-    3: ((1, (0, 0, 1, 0), 0, 0), (-1, (1, 0, 0, 0), 1, 0)),
-    4: ((1, (0, 0, 0, 1), 0, 0), (-1, (1, 0, 0, 0), 0, 1)),
-}
-
-_G_GRADE = {2: (1, 1, 1), 3: (1, 1, 0), 4: (1, 0, 1)}
+# (coeff, e_extra, dy3, dy4) acting by multiplication; alpha(x_i) is x1
+# times the y-part of CHART_IMAGES[i - 1], which is also the grade of g_i
+_G_TERMS = {i: ((1, tuple(int(j == i - 1) for j in range(4)), 0, 0),
+                (-1, (1, 0, 0, 0), *CHART_IMAGES[i - 1][1:]))
+            for i in (2, 3, 4)}
 
 
 def _apply_terms(n, mono, terms):
@@ -119,7 +122,8 @@ def _j_slice_vectors(n: int, grade):
     tagged by (multiplier monomial, generator index)."""
     vecs = []
     for i in (2, 3, 4):
-        for mono in _ring_slice_monomials(n, _grade_sub(grade, _G_GRADE[i])):
+        g_grade = CHART_IMAGES[i - 1]
+        for mono in _ring_slice_monomials(n, _grade_sub(grade, g_grade)):
             v = _apply_terms(n, mono, _G_TERMS[i])
             if v:
                 vecs.append(((mono, i), v))
@@ -132,7 +136,8 @@ def _j2_slice_echelon(n: int, grade):
         for j in (2, 3, 4):
             if j < i:
                 continue
-            gij_grade = tuple(u + v for u, v in zip(_G_GRADE[i], _G_GRADE[j]))
+            gij_grade = tuple(u + v for u, v in zip(CHART_IMAGES[i - 1],
+                                                    CHART_IMAGES[j - 1]))
             for mono in _ring_slice_monomials(n, _grade_sub(grade, gij_grade)):
                 v = _apply_terms(n, mono, _G_TERMS[i])
                 w = {}
@@ -161,15 +166,8 @@ def _d_rel_ring(n: int, vec):
 def _model_slice_labels(n: int, grade):
     """Basis of the slice of G_n = An dx2 + An dx3 + An dx4: the coefficient
     monomial is forced by the grade, so at most three labels (s, by, cy, i)."""
-    a, b, c = grade
-    out = []
-    for i in (2, 3, 4):
-        s = a - _G_GRADE[i][0]
-        by = b - _G_GRADE[i][1]
-        cy = c - _G_GRADE[i][2]
-        if s >= 0 and by >= 0 and cy >= 0 and s <= n - 1:
-            out.append((s, by, cy, i))
-    return out
+    return [(*mono, i) for i in (2, 3, 4) for mono in
+            _an_monomials(n, _grade_sub(grade, CHART_IMAGES[i - 1]))]
 
 
 def _an_monomials(n: int, grade):
@@ -190,10 +188,12 @@ def _model_relation_vectors(n: int, grade):
     """Slice of J_n: multiples of the cone syzygy
     x1 dx2 - y4 x1 dx3 - y3 x1 dx4 and of alpha(d mu) for deg-n monomials mu."""
     vecs = []
-    syz = {2: (1, 1, 0, 0), 3: (-1, 1, 0, 1), 4: (-1, 1, 1, 0)}
-    for u in _an_monomials(n, _grade_sub(grade, (2, 1, 1))):
+    # dx_i carries alpha of d(x1 x2 - x3 x4)/dx_i: x1, -x4, -x3
+    syz = {2: (1, CHART_IMAGES[0]), 3: (-1, CHART_IMAGES[3]),
+           4: (-1, CHART_IMAGES[2])}
+    for u in _an_monomials(n, _grade_sub(grade, chart_grade((1, 1, 0, 0)))):
         v = {}
-        for i, (cf, ds, dby, dcy) in syz.items():
+        for i, (cf, (ds, dby, dcy)) in syz.items():
             base = (0, 0, 0, i)
             vec_axpy(v, cf, _model_scale(
                 n, base, u[0] + ds, u[1] + dby, u[2] + dcy))
@@ -218,22 +218,16 @@ def _model_relation_vectors(n: int, grade):
 
 
 def _model_beta(n: int, label):
-    """beta on the model: dx_i -> -d_y(alpha(x_i)), An coefficients.
-    Labels on the target are (slot, (a, b, c)) with slot the dy index."""
+    """beta on the model: dx_i -> -d_y(alpha(x_i)), An coefficients, with
+    alpha(x_i) = x1 y3^ib y4^ic read off CHART_IMAGES[i - 1].  Labels on the
+    target are (slot, (a, b, c)) with slot the dy index."""
     s, by, cy, i = label
+    _, ib, ic = CHART_IMAGES[i - 1]
     out = {}
-
-    def put(slot, a, b, c):
-        if 0 <= a <= n - 1 and b >= 0 and c >= 0:
-            out[(slot, (a, b, c))] = -1
-
-    if i == 2:
-        put(3, s + 1, by, cy + 1)
-        put(4, s + 1, by + 1, cy)
-    elif i == 3:
-        put(3, s + 1, by, cy)
-    else:
-        put(4, s + 1, by, cy)
+    for slot, e, grade in ((3, ib, (s + 1, by + ib - 1, cy + ic)),
+                           (4, ic, (s + 1, by + ib, cy + ic - 1))):
+        if e and _an_monomials(n, grade):
+            out[(slot, grade)] = -e
     return out
 
 
@@ -396,44 +390,28 @@ def beta_kernel_system(nmax: int, ybound: int = 6) -> Verdict:
 # ---------------------------------------------------------------------------
 # Differential forms on An itself: splitting, kernels of d, relative collapse.
 
-# form variables ordered (y3, y4, x); wedges are tuples of indices 0, 1, 2
-_DY3, _DY4, _DX = 0, 1, 2
 
+def _form_labels(kind, m, n, u):
+    """The wedge labels T of the slice of Omega^m_{An} at the character u
+    of a chart grade (kind "omega"), or of its reduced part vanishing along
+    x1 = 0 (kind "omega_tilde").  They are the chart-0 labels of encech's
+    walker that are not truncation relations; relations are single labels,
+    so these are a basis of the slice.
 
-def _form_slice_labels(n, m, grade, reduced=False, capped=True):
-    """Labels (e3, e4, ex, W) of the slice of Omega^m_{An} in chart grade
-    (a, b, c); `reduced` keeps the part vanishing along x1 = 0, `capped=False`
-    gives the raw presentation before the relation x^{n-1} dx = d(x^n)/n."""
-    a, b, c = grade
-    out = []
-    for wedge in combinations(((_DY3), (_DY4), (_DX)), m):
-        e3 = b - (1 if _DY3 in wedge else 0)
-        e4 = c - (1 if _DY4 in wedge else 0)
-        ex = a - (1 if _DX in wedge else 0)
-        if e3 < 0 or e4 < 0 or ex < 0:
-            continue
-        if ex > n - 1:
-            continue
-        if capped and _DX in wedge and ex > n - 2:
-            continue
-        if reduced and ex == 0 and _DX not in wedge:
-            continue
-        out.append((e3, e4, ex, wedge))
-    return out
-
-
-def _form_d(n, label):
-    """De Rham differential on a capped slice label, exact coefficients."""
-    e3, e4, ex, wedge = label
-    return {(*exps, new_wedge): cf
-            for exps, new_wedge, cf in d_terms((e3, e4, ex), wedge)
-            if not (_DX in new_wedge and exps[_DX] > n - 2)}
+    The slice is closed under d, _chart_d_vec(0, u, T), with no filter,
+    because d never raises the fiber exponent.  A term that adds dx1 lowers
+    it by one, to at most n - 2, the bound for a label with dx1; a term that
+    adds dy3 or dy4 keeps it, and keeps dx1 in the wedge exactly when T has
+    it.  So no d-image term is a relation, and d of a reduced form is
+    reduced."""
+    amb, rel = _labels(kind, m, n, 0, (), u)
+    return [T for T in amb if T not in rel]
 
 
 def verify_chart_splitting(n: int, mmax: int = 3, ybound: int = 4) -> Verdict:
     """Omega^m_{An} splits as (Omega^m_A ⊗ Bn) + (Omega^{m-1}_A ⊗ Omega^1_Bn)
-    in every chart grade: the raw presentation modulo the single relation
-    family u * x^{n-1} dx must match the capped basis count."""
+    in every chart grade: the slice dimension of encech's chart-0 walker
+    must match the closed-form count."""
     ok = True
     slices = {}
     for m in range(0, mmax + 1):
@@ -441,19 +419,13 @@ def verify_chart_splitting(n: int, mmax: int = 3, ybound: int = 4) -> Verdict:
             for c in range(0, ybound + 1):
                 for a in range(0, n + 1):
                     grade = (a, b, c)
-                    raw = _form_slice_labels(n, m, grade, capped=False)
-                    # the relation family u x^{n-1} dx ^ eta picks out exactly
-                    # the raw labels with top x-exponent under dx
-                    rels = [lab for lab in raw
-                            if _DX in lab[3] and lab[2] == n - 1]
-                    quotient_dim = len(raw) - len(rels)
-                    model = len(_form_slice_labels(n, m, grade, capped=True))
+                    model = len(_form_labels("omega", m, n,
+                                             chart_char(0, grade)))
                     base = _omega_a_dim(m, b, c) * _bn_dim(n, a)
                     mixed = _omega_a_dim(m - 1, b, c) * _omega_bn_dim(n, a)
-                    if not (quotient_dim == model == base + mixed):
+                    if model != base + mixed:
                         ok = False
-                        slices[str((m, grade))] = (quotient_dim, model,
-                                                   base + mixed)
+                        slices[str((m, grade))] = (model, base + mixed)
     return Verdict(ok, {"level": n, "mmax": mmax, "ybound": ybound,
                         "mismatches": slices})
 
@@ -493,36 +465,30 @@ def verify_ker_d_claims(n: int, mmax: int = 3, ybound: int = 4) -> Verdict:
         for c in range(0, ybound + 1):
             for a in range(0, n + 1):
                 grade = (a, b, c)
+                u = chart_char(0, grade)
+                forms = [_form_labels("omega_tilde", m, n, u)
+                         for m in range(0, mmax + 1)]
                 ker_dims = {}
-                for m in range(0, mmax + 1):
-                    labels = _form_slice_labels(n, m, grade, reduced=True)
-                    if not labels:
-                        ker_dims[m] = 0
-                        continue
-                    cols = [_form_d(n, lab) for lab in labels]
+                for m, labels in enumerate(forms):
                     # d of a reduced form is reduced; rank-nullity on the slice
+                    cols = [_chart_d_vec(0, u, T) for T in labels]
                     ker_dims[m] = len(labels) - span_rank(cols)
                 if ker_dims[0] != 0:
                     ok = False
                     detail[str((0, grade))] = ker_dims[0]
-                # Omega^1_{An/A} has one basis form x^{a-1} y^b y^c dx per
-                # grade with 1 <= a <= n-1
-                rel_dim = 1 if (1 <= a <= n - 1) else 0
+                # Omega^1_{An/A} = A ⊗ Omega^1_Bn: one basis form
+                # x^{a-1} y^b y^c dx per grade with 1 <= a <= n-1
+                rel_dim = _omega_bn_dim(n, a)
                 if mmax >= 1 and ker_dims[1] != rel_dim:
                     ok = False
                     detail[str((1, grade))] = (ker_dims[1], rel_dim)
                 for m in range(2, mmax + 1):
-                    # source: Omega^{m-1}_A ⊗ x Bn in this grade
-                    src = _omega_a_dim(m - 1, b, c) * (
-                        1 if 1 <= a <= n - 1 else 0)
-                    imgs = []
-                    for lab in _form_slice_labels(n, m - 1, grade,
-                                                  reduced=True):
-                        e3, e4, ex, wedge = lab
-                        if _DX in wedge or ex == 0:
-                            continue
-                        imgs.append(_form_d(n, lab))
-                    rank = span_rank(imgs)
+                    # source: Omega^{m-1}_A ⊗ x Bn in this grade, where x Bn
+                    # has x^a for 1 <= a <= n-1, as Omega^1_Bn has x^{a-1} dx
+                    src = _omega_a_dim(m - 1, b, c) * _omega_bn_dim(n, a)
+                    # a reduced label without dx1 has fiber exponent >= 1
+                    rank = span_rank([_chart_d_vec(0, u, T)
+                                      for T in forms[m - 1] if 0 not in T])
                     if rank != src or ker_dims[m] != src:
                         ok = False
                         detail[str((m, grade))] = (ker_dims[m], rank, src)
@@ -540,21 +506,14 @@ def verify_relative_forms_collapse(n: int, ybound: int = 6) -> Verdict:
               for b in range(0, ybound + 1) for c in range(0, ybound + 1)]
     for grade in grades:
         a, b, c = grade
-        target = []
-        for slot, dvar in ((3, (0, 1, 0)), (4, (0, 0, 1))):
-            aa, bb, cc = _grade_sub(grade, dvar)
-            if aa >= 0 and bb >= 0 and cc >= 0 and aa <= n - 1:
-                target.append((slot, (aa, bb, cc)))
+        target = [(slot, mono) for slot, dy in ((3, (0, 1, 0)), (4, (0, 0, 1)))
+                  for mono in _an_monomials(n, _grade_sub(grade, dy))]
         if not target:
             continue
-        img = []
-        for lab in _model_slice_labels(n, grade):
-            img.append(_model_beta(n, lab))
+        img = [_model_beta(n, lab) for lab in _model_slice_labels(n, grade)]
         coker = len(target) - span_rank(img)
         # Omega^1_A slice: x-grade must be zero
-        expected = 0
-        if a == 0:
-            expected = (1 if b >= 1 else 0) + (1 if c >= 1 else 0)
+        expected = _omega_a_dim(1, b, c) if a == 0 else 0
         if coker != expected:
             ok = False
             slices[str(grade)] = (coker, expected)

@@ -17,6 +17,11 @@ directly (character_support); why no section lives elsewhere is argued at
 global_sections.  A box guard of margin n + m + BOX_PAD bounds every
 evaluated character.
 
+character(mon, wedge) is the one sum of SEGRE_CHARS into the character
+of a monomial form; chart_char inverts chart_coords.  Chart 0 (fiber x1,
+base coordinates y3 = x3/x1, y4 = x4/x1) is the chart algebra An of the
+charts module, whose forms come from _labels and _chart_d_vec here.
+
 Overlap rings are never hard-coded: for each pair of charts the set of
 invertible base coordinates is derived by bounded reachability and the
 resulting membership rule is proved at runtime before use.
@@ -72,6 +77,15 @@ def xdeg(u) -> int:
     return u[0] + u[1]
 
 
+def character(mon, wedge=()):
+    """The character of x^mon dx_wedge: each cone variable x_i, as a
+    factor of the monomial or as a differential, contributes
+    SEGRE_CHARS[i]."""
+    counts = [e + wedge.count(i) for i, e in enumerate(mon)]
+    return tuple(sum(e * g[k] for e, g in zip(counts, SEGRE_CHARS))
+                 for k in range(4))
+
+
 def _vadd(u, v):
     return tuple(x + y for x, y in zip(u, v))
 
@@ -109,6 +123,13 @@ def chart_coords(C: int, u):
     lc = lcoords(u)
     # coords @ G = lc, so coords = lc @ G^{-1}
     return tuple(sum(lc[k] * inv[k][j] for k in range(3)) for j in range(3))
+
+
+def chart_char(C: int, co):
+    """The lattice character with chart-C coordinates co: the inverse of
+    chart_coords, sum_j co_j g_j over chart C's generators g_j."""
+    (a, b, c), gens = co, CHART_GENS[C]
+    return tuple(a * x + b * y + c * z for x, y, z in zip(*gens))
 
 
 def chart_contains(C: int, u) -> bool:
@@ -633,12 +654,7 @@ def pullback_section(kind: str, n: int, mon, wedge, solvers: dict):
     The result is expressed per chart in the model ambient, which fails
     (EngineError) exactly when the pullback is not a section of the model.
     ``solvers`` is the map build's solver dict (see the module docstring)."""
-    u = (0, 0, 0, 0)
-    for i, e in enumerate(mon):
-        for _ in range(e):
-            u = _vadd(u, SEGRE_CHARS[i])
-    for i in wedge:
-        u = _vadd(u, SEGRE_CHARS[i])
+    u = character(mon, wedge)
     m = len(wedge)
     lam = _frame_wedge([SEGRE_CHARS[i] for i in wedge])
     family = {}

@@ -34,7 +34,7 @@ from typing import Sequence
 
 from .errors import EngineError
 from .linalg import (LinearMap, QuotientSpace, VectorSpaceWithBasis,
-                     induced_quotient_map, vec_add, vec_axpy)
+                     induced_quotient_map)
 from .monoid import cone_relation
 from .polyring import (FiniteAlgebra, Polynomial, mon_deg, mon_mul,
                        truncated_quotient)
@@ -208,25 +208,6 @@ class DifferentialModule:
     def class_action(self, m: int, mon: tuple, cvec: dict) -> dict:
         q = self._quot[m]
         return q.class_of(self.ambient_action(m, mon, q.lift(cvec)))
-
-    # -- structural checks used by the invariant suite -------------------
-    def verify_d_squared(self) -> bool:
-        return all(self.d(m + 1).compose(self.d(m)).is_zero()
-                   for m in range(self.up_to - 1))
-
-    def verify_leibniz(self) -> bool:
-        """d(ab) = a db + b da on classes of algebra basis elements."""
-        d0 = self.d(0)
-        for a, b in itertools.combinations_with_replacement(self.alg.basis, 2):
-            prod = self.alg.mult(a, b)
-            left: dict = {}
-            for mon, c in prod.items():
-                vec_axpy(left, c, d0.apply(self.class_vec(0, mon, ())))
-            right = vec_add(self.class_action(1, a, d0.apply(self.class_vec(0, b, ()))),
-                            self.class_action(1, b, d0.apply(self.class_vec(0, a, ()))))
-            if left != right:
-                return False
-        return True
 
 
 @lru_cache(maxsize=None)

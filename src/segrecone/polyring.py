@@ -328,24 +328,6 @@ class FiniteAlgebra:
     def degree_slice(self, d: int) -> list[Monomial]:
         return [m for m in self.basis if mon_deg(m) == d]
 
-    # structural sanity used by the invariant suite
-    def verify_commutative(self) -> bool:
-        for m1, m2 in itertools.combinations(self.basis, 2):
-            if self.mult(m1, m2) != self.mult(m2, m1):
-                return False
-        return True
-
-    def verify_associative(self, max_triples: int | None = None) -> bool:
-        triples = itertools.combinations_with_replacement(self.basis, 3)
-        if max_triples is not None:
-            triples = itertools.islice(triples, max_triples)
-        for a, b, c in triples:
-            left = self.nf_terms({mon_mul(m, c): x for m, x in self.mult(a, b).items()})
-            right = self.nf_terms({mon_mul(a, m): x for m, x in self.mult(b, c).items()})
-            if left != right:
-                return False
-        return True
-
 
 def truncated_quotient(ideal_gens: Sequence[Polynomial], n: int,
                        nvars: int | None = None) -> FiniteAlgebra:

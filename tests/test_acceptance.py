@@ -330,25 +330,30 @@ def test_09_structural_identities_and_double_computations():
     route and raises on any mismatch, so constructing the tower is
     itself a double computation.
     """
+    # imported here, not at the top: bench/test_bench.py loads this module
+    # from its file to read _H0_TABLE, without tests/ on sys.path
+    from laws import (verify_associative, verify_commutative,
+                      verify_d_squared, verify_leibniz)
+
     for n in range(1, 7):
         dm = qn_module(n)
-        assert dm.verify_d_squared()
-        assert dm.verify_leibniz()
+        assert verify_d_squared(dm)
+        assert verify_leibniz(dm)
     line = truncated_quotient([], 3, nvars=1)
     control = DifferentialModule(line, line.gb.elements)
-    assert control.verify_d_squared()
-    assert control.verify_leibniz()
+    assert verify_d_squared(control)
+    assert verify_leibniz(control)
     for n in range(1, 7):
-        assert q_tensor_module(n).verify_d_squared()
-    assert not q_tensor_module(2).verify_leibniz()
+        assert verify_d_squared(q_tensor_module(n))
+    assert not verify_leibniz(q_tensor_module(2))
 
     for n in range(1, 7):
         alg = qn_algebra(n)
-        assert alg.verify_commutative()
+        assert verify_commutative(alg)
         if n <= 4:
-            assert alg.verify_associative()
+            assert verify_associative(alg)
         else:
-            assert alg.verify_associative(max_triples=5000)
+            assert verify_associative(alg, max_triples=5000)
 
     k1_windows = {w: verify_K1(4, w).ok for w in (2, 3)}
     assert k1_windows[2] and k1_windows[3]

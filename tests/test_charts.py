@@ -7,10 +7,17 @@ so most verdicts are self-certifying; the hand-derivable facts pinned here
 are the one-variable model (x^(n+1))/(x^2n) and the vanishing of the
 restriction-kernel tower (multiplication by x kills the conormal classes).
 """
+from itertools import combinations
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from segrecone.charts import (
     CHART_IMAGES,
+    _G_TERMS,
+    _form_labels,
+    _model_beta,
     beta_kernel_system,
     chart_grade,
     d1_base_report,
@@ -19,7 +26,16 @@ from segrecone.charts import (
     verify_ker_d_claims,
     verify_relative_forms_collapse,
 )
+from segrecone.encech import (
+    _chart_d_vec,
+    _label_coords,
+    _labels,
+    character,
+    chart_char,
+    chart_coords,
+)
 from segrecone.errors import EngineError
+from segrecone.linalg import span_rank
 
 
 def test_chart_images_match_generator_coordinates():
@@ -32,6 +48,123 @@ def test_chart_grade():
     assert chart_grade((1, 0, 0, 0)) == (1, 0, 0)
     assert chart_grade((0, 1, 0, 0)) == (1, 1, 1)
     assert chart_grade((0, 0, 1, 1), by=1, cy=2) == (2, 2, 3)
+
+
+@given(st.tuples(*[st.integers(0, 6)] * 4), st.integers(0, 5),
+       st.integers(0, 5))
+def test_chart_grade_is_the_chart_zero_coordinates_of_the_character(
+        e, by, cy):
+    """The closed form chart_grade agrees with encech's chart 0: the grade
+    of x^e y3^by y4^cy is the chart-0 coordinates of the character of x^e,
+    shifted by (0, by, cy)."""
+    a, b, c = chart_coords(0, character(e))
+    assert chart_grade(e, by, cy) == (a, b + by, c + cy)
+
+
+def test_generator_terms_and_beta_match_the_literal_tables():
+    """_G_TERMS and _model_beta, read off CHART_IMAGES, equal the tables
+    written out by hand for alpha(x2) = x1 y3 y4, alpha(x3) = x1 y3,
+    alpha(x4) = x1 y4."""
+    assert _G_TERMS == {
+        2: ((1, (0, 1, 0, 0), 0, 0), (-1, (1, 0, 0, 0), 1, 1)),
+        3: ((1, (0, 0, 1, 0), 0, 0), (-1, (1, 0, 0, 0), 1, 0)),
+        4: ((1, (0, 0, 0, 1), 0, 0), (-1, (1, 0, 0, 0), 0, 1)),
+    }
+
+    def literal_beta(n, label):
+        s, by, cy, i = label
+        out = {}
+
+        def put(slot, a, b, c):
+            if 0 <= a <= n - 1 and b >= 0 and c >= 0:
+                out[(slot, (a, b, c))] = -1
+
+        if i == 2:
+            put(3, s + 1, by, cy + 1)
+            put(4, s + 1, by + 1, cy)
+        elif i == 3:
+            put(3, s + 1, by, cy)
+        else:
+            put(4, s + 1, by, cy)
+        return out
+
+    for n in range(1, 5):
+        for s in range(-1, n + 1):
+            for by in range(-1, 4):
+                for cy in range(-1, 4):
+                    for i in (2, 3, 4):
+                        label = (s, by, cy, i)
+                        assert _model_beta(n, label) == literal_beta(n, label)
+
+
+# The reference walker for forms on An = k[x, y3, y4]/(x^n), written from
+# the definition with the variables ordered (y3, y4, x): a label
+# (e3, e4, ex, W) is y3^e3 y4^e4 x^ex dW.  Omega^m_{An} is free on these
+# with ex <= n - 1, modulo x^(n-1) dx = d(x^n)/n = 0, so a label with dx
+# needs ex <= n - 2; a reduced label (vanishing along x = 0) without dx
+# needs ex >= 1.
+_Y3, _Y4, _X = 0, 1, 2
+# wedge index of y3, y4, x among encech's chart-0 generators (x, y3, y4)
+_CHART_INDEX = {_Y3: 1, _Y4: 2, _X: 0}
+
+
+def reference_form_labels(n, m, grade, reduced):
+    a, b, c = grade
+    out = []
+    for wedge in combinations((_Y3, _Y4, _X), m):
+        e3 = b - (_Y3 in wedge)
+        e4 = c - (_Y4 in wedge)
+        ex = a - (_X in wedge)
+        if min(e3, e4, ex) < 0 or ex > n - 1 - (_X in wedge):
+            continue
+        if reduced and ex == 0 and _X not in wedge:
+            continue
+        out.append((e3, e4, ex, wedge))
+    return out
+
+
+def reference_form_d(label):
+    """d(f dW) = sum_v df/dv dv ^ dW, dv moved to its place in W."""
+    e3, e4, ex, wedge = label
+    exps = (e3, e4, ex)
+    out = {}
+    for v, e in enumerate(exps):
+        if e and v not in wedge:
+            sign = (-1) ** sum(1 for w in wedge if w < v)
+            new = tuple(x - (j == v) for j, x in enumerate(exps))
+            out[(*new, tuple(sorted(wedge + (v,))))] = sign * e
+    return out
+
+
+def test_encech_chart_zero_walker_matches_the_reference_walker():
+    """The forms the aq-local checks read (encech's chart 0) are the forms
+    of the reference walker: the same labels, under y3, y4, x -> 1, 2, 0,
+    and the same rank of d, for both the full and the reduced forms.  No
+    d-image term is a truncation relation on either side."""
+    cases = [(n, m, (a, b, c), kind)
+             for n in range(1, 7) for m in range(4) for a in range(n + 2)
+             for b in range(6) for c in range(6)
+             for kind in ("omega", "omega_tilde")]
+    assert len(cases) == 9504
+    for n, m, grade, kind in cases:
+        reduced = kind == "omega_tilde"
+        ref = reference_form_labels(n, m, grade, reduced)
+        u = chart_char(0, grade)
+        labels = _form_labels(kind, m, n, u)
+        co = chart_coords(0, u)
+        assert co == grade
+        mapped = {(ex, e3, e4, tuple(sorted(_CHART_INDEX[w] for w in wedge)))
+                  for e3, e4, ex, wedge in ref}
+        assert mapped == {(*_label_coords(co, T), T) for T in labels}
+        assert len(labels) == len(ref)
+
+        ref_cols = [reference_form_d(lab) for lab in ref]
+        cols = [_chart_d_vec(0, u, T) for T in labels]
+        assert span_rank(cols) == span_rank(ref_cols)
+        ref_next = set(reference_form_labels(n, m + 1, grade, reduced))
+        assert all(set(col) <= ref_next for col in ref_cols)
+        amb, rel = _labels(kind, m + 1, n, 0, (), u)
+        assert all(set(col) <= set(amb) - set(rel) for col in cols)
 
 
 def test_base_cotangent_in_one_variable():

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from segrecone.encech import (
     CHART_GENS,
     _s_contains_raw,
+    character,
+    chart_char,
     chart_contains,
     chart_coords,
     chart_generator_consistency,
@@ -77,6 +79,28 @@ def test_chart_coords_invert_the_generator_matrix(C, a, b, c):
     rebuilt = tuple(sum(co[k] * CHART_GENS[C][k][j] for k in range(3))
                     for j in range(4))
     assert rebuilt == u
+    assert chart_char(C, co) == u
+
+
+@given(st.integers(0, 3), small, small, small)
+def test_chart_char_inverts_chart_coords(C, a, b, c):
+    u = chart_char(C, (a, b, c))
+    assert in_lattice(u)
+    assert chart_coords(C, u) == (a, b, c)
+
+
+@given(st.tuples(*[st.integers(0, 4)] * 4),
+       st.lists(st.integers(0, 3), max_size=4, unique=True))
+def test_character_is_the_sum_of_the_generator_characters(mon, wedge):
+    u = (0, 0, 0, 0)
+    for i, e in enumerate(mon):
+        for _ in range(e):
+            u = tuple(x + y for x, y in zip(u, SEGRE_CHARS[i]))
+    for i in sorted(wedge):
+        u = tuple(x + y for x, y in zip(u, SEGRE_CHARS[i]))
+    assert character(mon, tuple(sorted(wedge))) == u
+    if not wedge:
+        assert character(mon) == u
 
 
 # base coordinates of each chart, as positions in the character u

@@ -42,6 +42,8 @@ from segrecone.linalg import induced_quotient_map, vec_add
 from segrecone.monoid import cone_relation
 from segrecone.polyring import truncated_quotient
 
+from laws import verify_d_squared, verify_leibniz
+
 F = Fraction
 
 
@@ -94,9 +96,9 @@ def test_top_form_dimensions_and_annihilation():
 def test_exterior_derivative_laws():
     for n in (2, 3):
         dm = qn_module(n)
-        assert dm.verify_d_squared()
-        assert dm.verify_leibniz()
-        assert q_tensor_module(n).verify_d_squared()
+        assert verify_d_squared(dm)
+        assert verify_leibniz(dm)
+        assert verify_d_squared(q_tensor_module(n))
 
 
 def test_ambient_d_hand_example():
@@ -168,7 +170,7 @@ def test_every_d_up_to_level_eight_is_built_and_descends():
         for dm in (qn_module(n), q_tensor_module(n)):
             for m in range(dm.up_to):
                 dm.d(m)  # raises EngineError unless it descends
-            assert dm.verify_d_squared()
+            assert verify_d_squared(dm)
 
 
 def _request(dm, what, m):
@@ -268,7 +270,7 @@ def test_one_variable_truncation_module():
     assert dm.alg.dim == 3
     assert dm.dim(1) == 2
     assert dm.dim(2) == 0
-    assert dm.verify_d_squared() and dm.verify_leibniz()
+    assert verify_d_squared(dm) and verify_leibniz(dm)
     # x^2 dx = 0 but x dx is not
     assert dm.class_vec(1, (2,), (0,)) == {}
     assert dm.class_vec(1, (1,), (0,)) != {}
