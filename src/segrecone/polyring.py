@@ -325,9 +325,6 @@ class FiniteAlgebra:
             out[mon_deg(m)] += 1
         return out
 
-    def degree_slice(self, d: int) -> list[Monomial]:
-        return [m for m in self.basis if mon_deg(m) == d]
-
 
 def truncated_quotient(ideal_gens: Sequence[Polynomial], n: int,
                        nvars: int | None = None) -> FiniteAlgebra:

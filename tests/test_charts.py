@@ -17,7 +17,11 @@ from segrecone.charts import (
     CHART_IMAGES,
     _G_TERMS,
     _form_labels,
+    _alpha_relations,
     _model_beta,
+    _model_relations,
+    _RingLevel,
+    _slice_grades,
     beta_kernel_system,
     chart_grade,
     d1_base_report,
@@ -35,7 +39,9 @@ from segrecone.encech import (
     chart_coords,
 )
 from segrecone.errors import EngineError
-from segrecone.linalg import span_rank
+from segrecone.kaehler import qn_algebra
+from segrecone.linalg import span_rank, vec_axpy
+from segrecone.polyring import mon_deg, monomials_of_degree
 
 
 def test_chart_images_match_generator_coordinates():
@@ -224,3 +230,136 @@ def test_relative_forms_collapse():
     assert len(v.details["witnesses"]) == 3
     assert v.details["witnesses"][0] == {
         "relation": "d(y3^0 (x3 - y3 x1))", "hits": "-x1 y3^0 dy3"}
+
+
+# The per-grade definitions of the slices of J, J^2 and J_n, written out
+# from the generators g2 = x2 - x1 y3 y4, g3 = x3 - x1 y3, g4 = x4 - x1 y4
+# of J = ker(Qn[y3, y4] -> An) and the relations of the conormal model.
+# A ring monomial is (e, by, cy) for x^e y3^by y4^cy; a model label is
+# (s, by, cy, i) for x1^s y3^by y4^cy dx_i.
+_GENS = {2: (((0, 1, 0, 0), 0, 0, 1), ((1, 0, 0, 0), 1, 1, -1)),
+         3: (((0, 0, 1, 0), 0, 0, 1), ((1, 0, 0, 0), 1, 0, -1)),
+         4: (((0, 0, 0, 1), 0, 0, 1), ((1, 0, 0, 0), 0, 1, -1))}
+_GEN_GRADE = {2: (1, 1, 1), 3: (1, 1, 0), 4: (1, 0, 1)}
+
+
+def _minus(g1, g2):
+    return tuple(u - v for u, v in zip(g1, g2))
+
+
+def reference_ring_monomials(alg, grade):
+    a, b, c = grade
+    out = []
+    for e in alg.basis:
+        by, cy = b - e[1] - e[2], c - e[1] - e[3]
+        if mon_deg(e) == a and by >= 0 and cy >= 0:
+            out.append((e, by, cy))
+    return out
+
+
+def reference_times_generator(alg, vec, i):
+    out = {}
+    for (e, by, cy), cf in vec.items():
+        for x, dy3, dy4, sign in _GENS[i]:
+            prod = tuple(u + v for u, v in zip(e, x))
+            for mon, c in alg.nf_mon(prod).items():
+                vec_axpy(out, sign * cf * c, {(mon, by + dy3, cy + dy4): 1})
+    return out
+
+
+def reference_j_slice(alg, grade):
+    return [reference_times_generator(alg, {mono: 1}, i) for i in (2, 3, 4)
+            for mono in reference_ring_monomials(
+                alg, _minus(grade, _GEN_GRADE[i]))]
+
+
+def reference_j2_slice(alg, grade):
+    out = []
+    for i in (2, 3, 4):
+        for j in (2, 3, 4):
+            below = _minus(_minus(grade, _GEN_GRADE[i]), _GEN_GRADE[j])
+            for mono in reference_ring_monomials(alg, below):
+                gi = reference_times_generator(alg, {mono: 1}, i)
+                out.append(reference_times_generator(alg, gi, j))
+    return out
+
+
+def reference_model_relations(n, grade):
+    """The multiples u * (x1 dx2 - y4 x1 dx3 - y3 x1 dx4) and u * alpha(d mu)
+    for deg mu = n and every monomial u of An of the complementary grade;
+    alpha(d mu) = sum_i d mu/dx_i (x1, x1 y3 y4, x1 y3, x1 y4) dx_i."""
+    def an_multipliers(g):
+        a, b, c = g
+        return [g] if 0 <= a <= n - 1 and b >= 0 and c >= 0 else []
+
+    def put(v, cf, s, by, cy, i):
+        if s <= n - 1:
+            vec_axpy(v, cf, {(s, by, cy, i): 1})
+
+    out = []
+    for s, by, cy in an_multipliers(_minus(grade, (2, 1, 1))):
+        v = {}
+        put(v, 1, s + 1, by, cy, 2)
+        put(v, -1, s + 1, by, cy + 1, 3)
+        put(v, -1, s + 1, by + 1, cy, 4)
+        out.append(v)
+    for mu in monomials_of_degree(4, n):
+        for u in an_multipliers(_minus(grade, chart_grade(mu))):
+            v = {}
+            for i in (2, 3, 4):
+                if mu[i - 1]:
+                    partial = list(mu)
+                    partial[i - 1] -= 1
+                    s, by, cy = chart_grade(tuple(partial))
+                    put(v, mu[i - 1], s + u[0], by + u[1], cy + u[2], i)
+            out.append(v)
+    return out
+
+
+def _same_span(vs, ws):
+    vs, ws = list(vs), list(ws)
+    return span_rank(vs) == span_rank(ws) == span_rank(vs + ws)
+
+
+def test_level_tables_span_the_per_grade_slices():
+    """For n <= 6 and every grade of _slice_grades(n, 6), the per-level
+    tables of d1_relative_report and beta_kernel_system span the slices of
+    J, J^2 and J_n that the per-grade definitions above span; the model
+    relations also at x-grade n + 1, where beta_kernel_system reads level n
+    as the lower level."""
+    for n in range(1, 7):
+        alg = qn_algebra(n)
+        ring = _RingLevel(n)
+        alpha = _alpha_relations(n)
+        if n >= 2:
+            assert [e for e, _, _ in ring.monomials((1, 6, 6))] == sorted(
+                monomials_of_degree(4, 1))
+        for grade in _slice_grades(n, 6):
+            assert ring.monomials(grade) == reference_ring_monomials(alg,
+                                                                     grade)
+            assert _same_span((v for _, v in ring.j_vectors(grade)),
+                              reference_j_slice(alg, grade))
+            j2 = reference_j2_slice(alg, grade)
+            ech = ring.j2_echelon(grade)
+            assert ech.rank == span_rank(j2)
+            assert all(ech.contains(w) for w in j2)
+        for grade in _slice_grades(n + 1, 6):
+            assert _same_span(_model_relations(n, grade, alpha),
+                              reference_model_relations(n, grade))
+
+
+def test_chart_reports_carry_no_state_between_calls():
+    """The level tables live for one call: a report gives the same details
+    run twice, and before or after the other report."""
+    def relative():
+        return d1_relative_report(3, ybound=4).details
+
+    def kernels():
+        v = beta_kernel_system(4, ybound=4)
+        return v.details, v.witness
+
+    first_relative = relative()
+    first_kernels = kernels()
+    assert relative() == first_relative
+    assert kernels() == first_kernels
+    assert relative() == first_relative

@@ -219,7 +219,6 @@ def test_finite_algebra_multiplication_table():
     assert alg.mult((1, 0, 0, 0), (0, 1, 0, 0)) == {(0, 0, 1, 1): F(1)}
     # degree overflow truncates to zero
     assert alg.mult((2, 0, 0, 0), (0, 0, 1, 0)) == {}
-    assert alg.degree_slice(1) == sorted(monomials_of_degree(4, 1))
     assert (0, 0, 1, 1) in alg.index
 
 
