@@ -18,9 +18,10 @@ forms on An.
 The generator images live only in CHART_IMAGES; the conormal generators,
 their grades and beta read them from there.  The forms on An come from
 encech: An is its chart 0, with fiber x1 and base coordinates y3, y4, so
-the forms of chart grade (a, b, c) are the chart-0 labels of encech's
-walker at the character chart_char(0, (a, b, c)), with d from
-_chart_d_vec.  Their wedge indices 0, 1, 2 stand for dx1, dy3, dy4.
+the forms of chart grade (a, b, c) with a < n are the chart-0 labels of
+encech's walker at the character chart_char(0, (a, b, c)), with d from
+_chart_d_vec; at a >= n, past encech's cut, there are none.  Their wedge
+indices 0, 1, 2 stand for dx1, dy3, dy4.
 
 d1_relative_report and beta_kernel_system walk 49 chart grades per x-grade
 (y-grades up to 6), so they build what a level shares once per report
@@ -39,7 +40,7 @@ Python 3.11.7); the tables built here stay at 0.4 and 0.1 MB.
 
 from __future__ import annotations
 
-from .encech import _chart_d_vec, _labels, chart_char
+from .encech import _chart_d_vec, _labels, chart_char, xdeg
 from .errors import EngineError
 from .kaehler import qn_algebra
 from .linalg import Echelon, column_dependencies, span_rank, vec_axpy
@@ -294,7 +295,7 @@ def d1_relative_report(n: int, ybound: int = 6) -> Verdict:
     ring = _RingLevel(n)
     alpha = _alpha_relations(n)
     slices = {}
-    ok = True
+    mismatched = []
     for grade in _slice_grades(n, ybound):
         jvecs = ring.j_vectors(grade)
         j_ech = Echelon(v for _, v in jvecs)
@@ -317,7 +318,8 @@ def d1_relative_report(n: int, ybound: int = 6) -> Verdict:
         # beta must vanish on J_n (the model relations are relatively closed)
         for r in rels:
             if _model_beta_vec(n, r):
-                raise EngineError("model relation with nonzero differential")
+                raise EngineError("model relation with nonzero differential"
+                                  f" at level {n}, chart grade {grade}")
         # the model relations must hold in J/J^2: lift and reduce against J^2
         for r in rels:
             lifted = {}
@@ -325,10 +327,11 @@ def d1_relative_report(n: int, ybound: int = 6) -> Verdict:
                 mono, i = _lift_model_label(lab)
                 vec_axpy(lifted, cf, ring.times(mono, _G_TERMS[i]))
             if not j2_ech.contains(lifted):
-                raise EngineError("model relation does not lift into J^2")
+                raise EngineError("model relation does not lift into J^2"
+                                  f" at level {n}, chart grade {grade}")
 
         if dim_jj2_ring != dim_model or d1_ring != d1_model:
-            ok = False
+            mismatched.append(list(grade))
         if dim_jj2_ring or dim_model:
             slices[grade] = {
                 "conormal_ring": dim_jj2_ring,
@@ -336,8 +339,10 @@ def d1_relative_report(n: int, ybound: int = 6) -> Verdict:
                 "d1_ring": d1_ring,
                 "d1_model": d1_model,
             }
-    return Verdict(ok, {"level": n, "ybound": ybound,
-                        "slices": {str(k): v for k, v in slices.items()}})
+    return Verdict(not mismatched, {
+        "level": n, "ybound": ybound,
+        "slices": {str(k): v for k, v in slices.items()},
+        "mismatched_grades": mismatched})
 
 
 def beta_kernel_system(nmax: int, ybound: int = 6) -> Verdict:
@@ -431,18 +436,18 @@ def beta_kernel_system(nmax: int, ybound: int = 6) -> Verdict:
 def _form_labels(kind, m, n, u):
     """The wedge labels T of the slice of Omega^m_{An} at the character u
     of a chart grade (kind "omega"), or of its reduced part vanishing along
-    x1 = 0 (kind "omega_tilde").  They are the chart-0 labels of encech's
-    walker that are not truncation relations; relations are single labels,
-    so these are a basis of the slice.
+    x1 = 0 (kind "omega_tilde").  The fiber exponent of every chart-0 label
+    at u is xdeg(u) - [0 in T], and the truncation makes it a relation
+    exactly when xdeg(u) >= n (see encech.character_support).  So the slice
+    is zero past the cut, and below it every label of encech's walker is a
+    basis vector.
 
-    The slice is closed under d, _chart_d_vec(0, u, T), with no filter,
-    because d never raises the fiber exponent.  A term that adds dx1 lowers
-    it by one, to at most n - 2, the bound for a label with dx1; a term that
-    adds dy3 or dy4 keeps it, and keeps dx1 in the wedge exactly when T has
-    it.  So no d-image term is a relation, and d of a reduced form is
-    reduced."""
-    amb, rel = _labels(kind, m, n, 0, (), u)
-    return [T for T in amb if T not in rel]
+    The slice is closed under d, _chart_d_vec(0, u, T), with no filter:
+    d keeps the character u, so it keeps the side of the cut.  d of a
+    reduced form is reduced: a term that adds dx1 needs no factor x1, and a
+    term that adds dy3 or dy4 keeps both the x1 exponent and whether dx1 is
+    in the wedge."""
+    return _labels(kind, m, 0, (), u) if xdeg(u) < n else []
 
 
 def verify_chart_splitting(n: int, mmax: int = 3, ybound: int = 4) -> Verdict:

@@ -113,9 +113,7 @@ def _check_h0_surj(cfg: Config):
                 row.append(int(v.details["target_zero"]))
             dims[("spanning", i, n)] = row
             if not v.ok:
-                witnesses.append({"spanning": [i, n],
-                                  "uncovered":
-                                  v.details["uncovered_characters"]})
+                witnesses.append({"spanning": [i, n], **v.details})
     return not witnesses, witnesses, dims
 
 
@@ -131,7 +129,8 @@ def _check_aq_local(cfg: Config):
         v = charts.d1_relative_report(n)
         dims[("relative_slices", n)] = len(v.details["slices"])
         if not v.ok:
-            witnesses.append({"relative_cotangent": n})
+            witnesses.append({"relative_cotangent": n, "chart_grades":
+                              v.details["mismatched_grades"]})
     for n in range(2, min(nhi, 3) + 1):
         for name, v in (("forms_collapse",
                          charts.verify_relative_forms_collapse(n)),

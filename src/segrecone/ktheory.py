@@ -51,14 +51,14 @@ K4_WITNESS = ((1, 0, 0, 0), (1, 2, 3))
 # Pullback plumbing: cone-side quotients -> section spaces on thickenings.
 
 
-def _pullback_ambient(kind: str, n: int, amb: VectorSpaceWithBasis,
-                      vec: dict, solvers: dict) -> dict:
+def _pullback_ambient(kind: str, amb: VectorSpaceWithBasis, vec: dict,
+                      solvers: dict) -> dict:
     """Per-character flat families of the pullback of an ambient form
     vector (index-keyed over ``amb``)."""
     per_char: dict = {}
     for i, c in vec.items():
         mon, wedge = amb.labels[i]
-        u, fam = pullback_section(kind, n, mon, wedge, solvers)
+        u, fam = pullback_section(kind, mon, wedge, solvers)
         vec_axpy(per_char.setdefault(u, {}), c, fam)
     return {u: f for u, f in per_char.items() if f}
 
@@ -76,12 +76,12 @@ def _pullback_map(quot: QuotientSpace, m: int, n: int,
     gs = global_sections(kind, m, n)
     solvers: dict = {}
     for vec in quot.relations():
-        for u, fam in _pullback_ambient(kind, n, amb, vec, solvers).items():
+        for u, fam in _pullback_ambient(kind, amb, vec, solvers).items():
             if gs.coords(u, fam, solvers) != {}:
                 raise EngineError(
                     "pullback does not kill a cone-side relation")
     dom = quot.space()
-    families = (pullback_section(kind, n, mon, wedge, solvers)
+    families = (pullback_section(kind, mon, wedge, solvers)
                 for mon, wedge in dom.labels)
     return gs.map_from(dom, families, solvers,
                        "pullback is not a section of the model")
@@ -99,7 +99,7 @@ def _ideal_level_iso(n: int) -> Verdict:
     gs = global_sections("ideal_power", 0, n)
     dom = VectorSpaceWithBasis(mons)
     solvers: dict = {}
-    pulled = [pullback_section("ideal_power", n, e, (), solvers)
+    pulled = [pullback_section("ideal_power", e, (), solvers)
               for e in mons]
     f = gs.map_from(dom, pulled, solvers,
                     "monomial does not define an ideal section")
@@ -118,8 +118,8 @@ def _ideal_level_iso(n: int) -> Verdict:
     ok = (dom.dim == gs.dim == rank and grading_ok
           and sections_by_deg == deg_counts)
     # the defining binomial maps to the literal same family on both sides
-    u12, f12 = pullback_section("ideal_power", n, (1, 1, 0, 0), (), solvers)
-    u34, f34 = pullback_section("ideal_power", n, (0, 0, 1, 1), (), solvers)
+    u12, f12 = pullback_section("ideal_power", (1, 1, 0, 0), (), solvers)
+    u34, f34 = pullback_section("ideal_power", (0, 0, 1, 1), (), solvers)
     if u12 != u34 or f12 != f34:
         raise EngineError("binomial relation broken by the character map")
     return Verdict(ok, {

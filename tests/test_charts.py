@@ -33,7 +33,6 @@ from segrecone.charts import (
 from segrecone.encech import (
     _chart_d_vec,
     _label_coords,
-    _labels,
     character,
     chart_char,
     chart_coords,
@@ -169,8 +168,8 @@ def test_encech_chart_zero_walker_matches_the_reference_walker():
         assert span_rank(cols) == span_rank(ref_cols)
         ref_next = set(reference_form_labels(n, m + 1, grade, reduced))
         assert all(set(col) <= ref_next for col in ref_cols)
-        amb, rel = _labels(kind, m + 1, n, 0, (), u)
-        assert all(set(col) <= set(amb) - set(rel) for col in cols)
+        next_labels = set(_form_labels(kind, m + 1, n, u))
+        assert all(set(col) <= next_labels for col in cols)
 
 
 def test_base_cotangent_in_one_variable():

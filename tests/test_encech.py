@@ -150,12 +150,41 @@ def test_labels_shift_chart_coordinates_by_the_wedge(C, a, b, c, e, lattice):
                     if (co_T is not None and co_T[0] >= spec.floor(T)
                             and all(co_T[j] >= 0 for j in (1, 2)
                                     if j not in F)):
-                        amb.append((T, co_T[0]))
-                for n in (1, 2):
-                    assert encech._labels(kind, m, n, base, F, u) == (
-                        [T for T, _ in amb],
-                        [T for T, a0 in amb
-                         if a0 >= encech._rel_threshold(n, T)])
+                        amb.append(T)
+                assert encech._labels(kind, m, base, F, u) == amb
+
+
+def test_the_truncation_relations_are_the_cut():
+    """The per-label truncation rule, fiber exponent >= n - [0 in T], holds
+    for an ambient label exactly when xdeg(u) >= n: on every chart and
+    overlap, for every kind, m <= 4, n <= 6 and lattice u with |u_i| <= 6.
+    The fiber exponent is read off chart coordinates computed by summing
+    generators, not off the walker.  An overlap reads its labels on the
+    coordinates of its base chart, and kinds with the same pool and floor
+    have the same labels, so each (base, pool, floor) is walked once."""
+    r = range(-6, 7)
+    lattice = [(a, b, c, a + b - c) for a in r for b in r for c in r
+               if abs(a + b - c) <= 6]
+    wedges = [T for m in range(4) for T in combinations(range(3), m)]
+    walkers = {(spec.pool, spec.floor): kind
+               for kind, spec in encech.KINDS.items()}
+    checked = 0
+    for C in range(4):
+        overlaps = [overlap_data(C, Q) for Q in range(C + 1, 4)]
+        for u in lattice:
+            # the wedges whose label breaks the equivalence at some n
+            fiber = {T: _direct_label_coords(C, u, T)[0] for T in wedges}
+            off = {T for T in wedges
+                   if any((fiber[T] >= n - (0 in T)) != (xdeg(u) >= n)
+                          for n in range(1, 7))}
+            for base, F in [(C, ())] + overlaps:
+                for (pool, _), kind in walkers.items():
+                    for m in range(5):
+                        if pool(m):
+                            labels = encech._labels(kind, m, base, F, u)
+                            assert off.isdisjoint(labels)
+                            checked += len(labels)
+    assert checked > 50_000, checked
 
 
 def test_every_generator_is_regular_on_every_chart():
@@ -241,6 +270,23 @@ def test_restrictions_are_surjective():
     assert restriction_map("omega", 0, 2).rank() == 5
 
 
+@pytest.mark.parametrize("kind,m", [("omega_tilde", 1), ("hc_top", 2),
+                                    ("omega", 0), ("ideal_power", 0)])
+def test_restriction_matches_the_section_coordinates(kind, m):
+    """The projection restriction_map builds equals the map that expresses
+    each level-(n+1) basis section in the coordinates of level n."""
+    for n in range(1, 6):
+        hi = global_sections(kind, m, n + 1)
+        families = ((u, cs.family(v)) for u, cs in sorted(hi.chars.items())
+                    for v in cs.basis)
+        oracle = global_sections(kind, m, n).map_from(
+            hi.space(), families, {}, "restriction is not defined")
+        got = restriction_map(kind, m, n)
+        assert got.domain.labels == oracle.domain.labels
+        assert got.codomain.labels == oracle.codomain.labels
+        assert got.images == oracle.images
+
+
 _F = (0, 1, 0, 1)  # a degree-one generator
 
 
@@ -248,12 +294,15 @@ _F = (0, 1, 0, 1)  # a degree-one generator
     (_F, {(0, (0,)): 1}, None),
     (_F, {(0, ()): 1}, None),
     ((0, 3, 0, 3), {(0, ()): 1}, {}),
+    ((0, 3, 0, 3), {(0, (0,)): 1}, None),
     (_F, {(C, ()): 1 for C in range(4)}, {0: 1}),
-], ids=["label-outside-ambient", "not-a-section", "relation", "section"])
+], ids=["label-outside-ambient", "not-a-section", "relation",
+        "label-outside-ambient-past-the-cut", "section"])
 def test_coords_of_flat_families(u, family, expected):
     # ideal sections at level 3: at the generator f the one section is
-    # x^f on every chart, the first basis vector; at 3f the chart-0 label
-    # is a truncation relation
+    # x^f on every chart, the first basis vector; 3f lies past the cut
+    # (xdeg 3 >= 3), where the chart-0 label () is a truncation relation
+    # and dx-labels are outside the ambient of the functions
     gs = global_sections("omega_tilde", 0, 3)
     assert gs.space().labels[0] == (_F, 0)
     assert gs.coords(u, family, {}) == expected
@@ -267,8 +316,8 @@ def test_map_from_raises_the_given_error_on_a_non_section():
 
 
 def test_pullback_respects_the_cone_relation():
-    u12, f12 = pullback_section("ideal_power", 3, (1, 1, 0, 0), (), {})
-    u34, f34 = pullback_section("ideal_power", 3, (0, 0, 1, 1), (), {})
+    u12, f12 = pullback_section("ideal_power", (1, 1, 0, 0), (), {})
+    u34, f34 = pullback_section("ideal_power", (0, 0, 1, 1), (), {})
     assert u12 == u34 == (1, 1, 1, 1)
     assert f12 == f34
 
@@ -330,9 +379,10 @@ def test_box_guard_fires_below_the_support(monkeypatch):
 # -- exhaustive oracle for the character support ------------------------------
 
 def _box_scan(kind, m, n):
-    """Every character some chart sees, out to the padded box
-    n + m + BOX_PAD + 2: the enumeration that global_sections prunes to
-    the characters every chart sees."""
+    """Every character at which some chart has a label that is not a
+    truncation relation at level n (fiber exponent below n - [0 in T]), out
+    to the padded box n + m + BOX_PAD + 2: the enumeration that
+    global_sections prunes to the characters every chart sees."""
     pad = n + m + encech.BOX_PAD + 2
     spec = encech.KINDS[kind]
     found = set()
@@ -340,7 +390,7 @@ def _box_scan(kind, m, n):
         v, g1, g2 = CHART_GENS[C]
         for T in spec.pool(m):
             base = _generator_sum(C, T)
-            for alpha in range(spec.floor(T), encech._rel_threshold(n, T)):
+            for alpha in range(spec.floor(T), n - (0 in T)):
                 for beta in range(pad + 4):
                     for gamma in range(pad + 4):
                         u = tuple(s + alpha * x + beta * y + gamma * z
@@ -392,15 +442,15 @@ def test_chart_labels_match_hand_counts(kind, char):
     and e_T is the indicator of T: (0, 0, 0) at u = 0, (1, 0, 0) at the
     fiber generator f and (1, 1, 0) at f + g1.  T is an ambient label iff
     T is in the pool, b - [1 in T] >= 0, c - [2 in T] >= 0 and
-    a' = a - [0 in T] >= floor(T); it is a relation iff
-    a' >= n - [0 in T].
+    a' = a - [0 in T] >= floor(T).  The walker has no level: which labels
+    are truncation relations is the cut that
+    test_the_truncation_relations_are_the_cut checks.
 
     * u = 0: T = () is the only wedge with a', b', c' >= 0 (a' = 0; every
       floor is >= 0, so (0,) with a' = -1 is out).  Its floor is 0
       for omega and horizontal, 1 for the reduced kinds (omega_tilde,
       image_d, hc_top) and ideal_power, so only omega and horizontal have a
-      label (m = 0: counts 1, 1, every other count 0); a' = 0 < n, so no
-      relation.
+      label (m = 0: counts 1, 1, every other count 0).
     * u = f: T avoids 1 and 2, so T is () or (0,), with a' = 1 and 0, each
       at least its floor (the reduced floor of (0,) is 0).  () is in every
       kind's m = 0 pool, (0,) only in the full wedge pool (not horizontal's
@@ -412,15 +462,11 @@ def test_chart_labels_match_hand_counts(kind, char):
       horizontal ((1,)); 1 at m = 2 for the wedge kinds ((0, 1)); horizontal
       has no m = 2 label (its only 2-wedge is (1, 2)), ideal_power none
       above m = 0, and no kind has an m = 3 label (the 3-wedge contains 2).
-    * At u = f and f + g1 every label has a' = 1 - [0 in T], so each is a
-      relation at n = 1 and none is at n = 2.
     """
     u = _HAND_CHARS[char]
     for m in range(4):
         amb = _HAND_AMBIENT[char].get((kind, m), [])
-        for n in (1, 2):
-            rel = amb if char != "zero" and n == 1 else []
-            assert encech._labels(kind, m, n, 0, (), u) == (amb, rel)
+        assert encech._labels(kind, m, 0, (), u) == amb
 
 
 # every (kind, m) the engine evaluates, for n <= 3; the H0-surjection
@@ -442,7 +488,7 @@ def test_support_matches_the_padded_box_scan(kind, m, n, monkeypatch):
     monkeypatch.setattr(encech, "char_model", encech.char_model.__wrapped__)
     scanned = {}
     for u in _box_scan(kind, m, n):
-        cs = encech.h0_char.__wrapped__(kind, m, n, u)
+        cs = encech.h0_char.__wrapped__(kind, m, u)
         if cs.dim:
             scanned[u] = cs
     assert sorted(scanned) == sorted(gs.chars)

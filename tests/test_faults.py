@@ -2,14 +2,16 @@
 
 Each fault monkeypatches one engine function, never a check runner, at
 the name the check reads it by.  The check must then exit 1 with a
-non-empty witness list.
+non-empty witness list.  The section spaces of encech are cached, so
+every row runs between cleared caches.
 """
+import dataclasses
 import json
 
 import pytest
 
 import segrecone.cli as cli
-from segrecone import charts
+from segrecone import charts, encech
 from segrecone.linalg import vec_scale
 
 
@@ -62,21 +64,90 @@ def leave_g3_squared_out_of_j2(monkeypatch):
                          if p != (3, 3)})
 
 
+def cut_one_level_low(monkeypatch):
+    """The cut moves down one level: character_support drops the shell
+    xdeg(u) = n - 1, so every section of the top layer is lost."""
+    real = encech.character_support
+    monkeypatch.setattr(
+        encech, "character_support",
+        lambda kind, m, n: {u for u in real(kind, m, n)
+                            if encech.xdeg(u) < n - 1})
+
+
+def drop_a_reduced_one_form_section(monkeypatch):
+    """h0_char loses one basis vector of the reduced 1-forms at the
+    character (1, 1, 1, 1)."""
+    real = encech.h0_char
+
+    def dropped(kind, m, u):
+        cs = real(kind, m, u)
+        if (kind, m, u) == ("omega_tilde", 1, (1, 1, 1, 1)):
+            return dataclasses.replace(cs, basis=cs.basis[1:],
+                                       dim=cs.dim - 1)
+        return cs
+
+    monkeypatch.setattr(encech, "h0_char", dropped)
+
+
 FAULTS = [
     ("aq-local", zero_chart_d),
     ("aq-local", double_chart_d_on_dx1_dy3),
     ("aq-local", drop_one_truncation_relation),
     ("aq-local", leave_g3_squared_out_of_j2),
     ("pro-iso-d", double_beta_of_dx3),
+    ("key-seq", cut_one_level_low),
+    ("h0-surj", cut_one_level_low),
+    ("key-seq", drop_a_reduced_one_form_section),
+    ("h0-surj", drop_a_reduced_one_form_section),
 ]
+
+
+@pytest.fixture
+def cold_sections():
+    """Clear the section caches before the fault and after it is undone."""
+    caches = (encech.global_sections, encech.h0_char)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
 
 
 @pytest.mark.parametrize("check,fault", FAULTS,
                          ids=[f"{c}-{f.__name__}" for c, f in FAULTS])
-def test_the_check_fails_under_the_fault(capsys, monkeypatch, check, fault):
+def test_the_check_fails_under_the_fault(cold_sections, capsys, monkeypatch,
+                                         check, fault):
     fault(monkeypatch)
     code = cli.main(["verify", check, "--nmax", "4", "--window", "3"])
     rec = json.loads(capsys.readouterr().out)["checks"][0]
     assert code == 1
     assert rec["verdict"] == "FAIL"
     assert rec["witnesses"]
+
+
+def test_a_relation_that_does_not_lift_names_its_level_and_grade(
+        capsys, monkeypatch):
+    """Without g3 g4 in J^2 a model relation does not lift: aq-local is an
+    engine error whose witness names the level and the chart grade."""
+    monkeypatch.setattr(charts, "_J2_TERMS",
+                        {p: t for p, t in charts._J2_TERMS.items()
+                         if p != (3, 4)})
+    code = cli.main(["verify", "aq-local", "--nmax", "4", "--window", "3"])
+    rec = json.loads(capsys.readouterr().out)["checks"][0]
+    assert code == 2
+    assert rec["verdict"] == "ERROR"
+    [witness] = rec["witnesses"]
+    assert witness["error"] == ("model relation does not lift into J^2"
+                                " at level 3, chart grade (2, 1, 1)")
+
+
+def test_a_ring_model_mismatch_names_its_chart_grades(capsys, monkeypatch):
+    """Without g3^2, J/J^2 outgrows the model first at level 3, chart grade
+    (2, 2, 0): x1^2 y3^2 carries g3^2."""
+    leave_g3_squared_out_of_j2(monkeypatch)
+    code = cli.main(["verify", "aq-local", "--nmax", "3", "--window", "2"])
+    rec = json.loads(capsys.readouterr().out)["checks"][0]
+    assert code == 1
+    [witness] = rec["witnesses"]
+    assert witness["relative_cotangent"] == 3
+    assert witness["chart_grades"][0] == [2, 2, 0]
