@@ -14,7 +14,6 @@ import argparse
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import charts, encech, kaehler, ktheory, sheaf
 from . import monoid as monoids
@@ -333,6 +332,7 @@ def cmd_verify(args) -> int:
     encech.set_box_pad(cfg.box_pad)
     ids = CHECK_IDS if args.check == ["all"] else sorted(set(args.check))
     if cfg.jobs > 1 and len(ids) > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
             records = list(pool.map(lambda c: run_check(c, cfg), ids))
     else:

@@ -48,6 +48,13 @@ GlobalSections turns a family into coordinates of its space() (coords)
 and builds every map into that space (map_from).  The span solvers behind
 coords live in a dict that each map build creates and passes down, so
 they are freed with the map; neither type caches one.
+
+Caches.  Every cache here is a pure function of its arguments.  The
+atlas tables (_chart_inverse, overlap_data, wedge_lambda) are small and
+read on every label walk.  h0_char keeps the sections at each character,
+which every level and every check that sees the character reuses, and
+global_sections keeps each level's space.  char_model keeps nothing: its
+only caller is h0_char, so a stored model would never be read again.
 """
 
 from __future__ import annotations
@@ -364,11 +371,16 @@ def _pair_reduction_echelon(kind, m, P, Q, u):
                     for T in _labels(spec.ambient, m - 1, base, F, u)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=0)
 def char_model(kind: str, m: int, u) -> CharModel:
     """The untruncated model at one character: below the cut no label is a
     truncation relation, so the only relations are the d-images of hc_top
-    (and image_d's constraint)."""
+    (and image_d's constraint).
+
+    The size-0 cache stores nothing; it is there only so that
+    cache_info().misses counts the evaluations, which the benchmark's layer
+    tracer reads.  It can go once the tracer counts calls of a function
+    without a cache."""
     spec = _spec(kind)
     amb, rel_vecs, sub_ech = [], [], []
     for C in range(4):
@@ -379,7 +391,8 @@ def char_model(kind: str, m: int, u) -> CharModel:
         if spec.d_image == QUOTIENT:
             aset = set(a)
             if not all(set(dv) <= aset for dv in d_images):
-                raise EngineError("d image leaves the reduced ambient")
+                raise EngineError(f"{kind} m={m} u={u} chart {C}: "
+                                  "d image leaves the reduced ambient")
             rels = d_images
         elif spec.d_image == CONSTRAINT:
             ech = Echelon(d_images)
@@ -447,15 +460,16 @@ def h0_char(kind: str, m: int, u) -> CharSections:
     kernel = column_dependencies(cols)
     index = {lab: i for i, lab in enumerate(flat)}
     rel_flat = []
+    ker_ech = Echelon(kernel)
     for C in range(4):
         for v in model.rel_vecs[C]:
             rv = {index[(C, T)]: cf for T, cf in v.items()}
-            if rv:
-                rel_flat.append(rv)
-    ker_ech = Echelon(kernel)
-    for rv in rel_flat:
-        if not ker_ech.contains(rv):
-            raise EngineError("relation family is not a compatible section")
+            if not rv:
+                continue
+            if not ker_ech.contains(rv):
+                raise EngineError(f"{kind} m={m} u={u} chart {C}: relation "
+                                  "family is not a compatible section")
+            rel_flat.append(rv)
     rel_ech = Echelon(rel_flat)
     basis = [v for v in kernel if rel_ech.add(v)]
     return CharSections(u, flat, index, basis, rel_flat, len(basis))
@@ -686,7 +700,8 @@ def pullback_section(kind: str, mon, wedge, solvers: dict):
         amb, solver = solvers[key]
         coeffs = solver.express(lam)
         if coeffs is None:
-            raise EngineError("pullback does not restrict to a chart section")
+            raise EngineError(f"{kind} m={m} u={u} chart {C}: pullback "
+                              "does not restrict to a chart section")
         for T, cf in zip(amb, coeffs):
             if cf:
                 family[(C, T)] = cf

@@ -1,9 +1,15 @@
-"""Command-line driver: exit codes, output formats, determinism."""
+"""Command-line driver: exit codes, output formats, determinism, and what
+a fresh process keeps in memory."""
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import segrecone
 import segrecone.cli as cli
 from segrecone import ktheory
 from segrecone import monoid as monoids
@@ -161,6 +167,36 @@ def test_verify_all_with_jobs_uses_stub_runners(capsys, monkeypatch):
     by_id = {c["check_id"]: c["verdict"] for c in doc["checks"]}
     assert by_id["k4"] == "FAIL"
     assert all(v == "PASS" for k, v in by_id.items() if k != "k4")
+
+
+def _fresh_python(code: str) -> str:
+    """Stdout of ``code`` run in a new interpreter on this segrecone."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(segrecone.__file__).parent.parent),
+                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-B", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_importing_the_cli_loads_no_thread_pool():
+    """The --jobs pool is imported only when a run asks for one."""
+    out = _fresh_python("import sys, segrecone.cli; "
+                        "print('concurrent.futures' in sys.modules)")
+    assert out.split() == ["False"]
+
+
+def test_verify_all_keeps_no_character_model():
+    """char_model's size-0 cache keeps no model but still counts the
+    evaluations: one per h0_char evaluation, 422 at the default config."""
+    out = _fresh_python(
+        "import os, segrecone.cli as cli, segrecone.encech as encech; "
+        "code = cli.main(['verify', 'all', '--out', os.devnull]); "
+        "info = encech.char_model.cache_info(); "
+        "print(code, info.currsize, info.misses)")
+    assert out.split() == ["0", "0", "422"]
 
 
 def test_audit_check_reports_the_flagged_item(capsys):

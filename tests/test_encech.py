@@ -4,6 +4,7 @@ Numeric oracles: section dimensions agree with the hand Kunneth counts of
 the graded layers (sums of squares for the structure and ideal sheaves;
 4 + 15 = 19 for reduced one-forms at level 3), see test_sheaf.py.
 """
+import gc
 from itertools import combinations
 
 import pytest
@@ -482,10 +483,9 @@ _ORACLE_CASES = (
 
 
 @pytest.mark.parametrize("kind,m,n", _ORACLE_CASES)
-def test_support_matches_the_padded_box_scan(kind, m, n, monkeypatch):
+def test_support_matches_the_padded_box_scan(kind, m, n):
     gs = global_sections(kind, m, n)
-    # evaluate the box uncached, so the scan neither reuses nor keeps models
-    monkeypatch.setattr(encech, "char_model", encech.char_model.__wrapped__)
+    # evaluate the box uncached, so the scan neither reuses nor keeps sections
     scanned = {}
     for u in _box_scan(kind, m, n):
         cs = encech.h0_char.__wrapped__(kind, m, u)
@@ -496,3 +496,14 @@ def test_support_matches_the_padded_box_scan(kind, m, n, monkeypatch):
         got = gs.chars[u]
         assert (got.dim, got.flat_labels, got.basis) == \
             (cs.dim, cs.flat_labels, cs.basis)
+
+
+def test_no_character_model_outlives_its_sections():
+    """char_model keeps nothing: once global_sections has its sections,
+    every per-character model is garbage."""
+    global_sections.cache_clear()
+    encech.h0_char.cache_clear()
+    global_sections("hc_top", 2, 4)
+    gc.collect()
+    assert not any(isinstance(obj, encech.CharModel)
+                   for obj in gc.get_objects())

@@ -1,9 +1,13 @@
-"""Fault matrix: a check must FAIL when one engine layer it reads is wrong.
+"""Fault matrix: a check must not PASS when one engine layer it reads is
+wrong.
 
-Each fault monkeypatches one engine function, never a check runner, at
-the name the check reads it by.  The check must then exit 1 with a
-non-empty witness list.  The section spaces of encech are cached, so
-every row runs between cleared caches.
+Each fault monkeypatches one engine function or table, never a check
+runner, at the name the check reads it by.  Each row names the exit code
+the check must then give: 1, a FAIL with a non-empty witness list, or 2,
+an engine ERROR whose witness carries the message.  The engine caches
+what it computes (sheaf._cech_all and the lru caches of kaehler, ktheory
+and encech), so every row runs between cleared caches: a faulty value
+neither comes from an earlier test nor reaches a later one.
 """
 import dataclasses
 import json
@@ -11,8 +15,8 @@ import json
 import pytest
 
 import segrecone.cli as cli
-from segrecone import charts, encech
-from segrecone.linalg import vec_scale
+from segrecone import charts, encech, kaehler, ktheory, sheaf
+from segrecone.linalg import LinearMap, vec_scale
 
 
 def zero_chart_d(monkeypatch):
@@ -31,16 +35,20 @@ def double_beta_of_dx3(monkeypatch):
     monkeypatch.setattr(charts, "_model_beta", doubled)
 
 
-def double_chart_d_on_dx1_dy3(monkeypatch):
-    """d on An doubles every dx1^dy3 coefficient: the ranks of d keep, but
-    d∘d(f dy3) becomes a nonzero multiple of f_x1y4 dx1^dy3^dy4."""
-    real = charts._chart_d_vec
-
+def _doubled_on_dx1_dy3(real):
+    """The chart d ``real`` with every coefficient doubled whose wedge holds
+    both the fiber and the first base differential."""
     def doubled(C, u, T):
         return {T2: 2 * cf if 0 in T2 and 1 in T2 else cf
                 for T2, cf in real(C, u, T).items()}
+    return doubled
 
-    monkeypatch.setattr(charts, "_chart_d_vec", doubled)
+
+def double_chart_d_on_dx1_dy3(monkeypatch):
+    """d on An doubles every dx1^dy3 coefficient: the ranks of d keep, but
+    d∘d(f dy3) becomes a nonzero multiple of f_x1y4 dx1^dy3^dy4."""
+    monkeypatch.setattr(charts, "_chart_d_vec",
+                        _doubled_on_dx1_dy3(charts._chart_d_vec))
 
 
 def drop_one_truncation_relation(monkeypatch):
@@ -89,23 +97,73 @@ def drop_a_reduced_one_form_section(monkeypatch):
     monkeypatch.setattr(encech, "h0_char", dropped)
 
 
+def add_one_to_h1_inside_the_box(monkeypatch):
+    """The Cech oracle gives one more h^1 at every character whose mask has
+    all four conditions (have == 15): the layers of the reduced forms get
+    first cohomology.  That mask never lies on the box boundary, so the box
+    guard of sheaf._cech_all does not fire."""
+    real = sheaf._char_cohomology
+
+    def off_by_one(p, q, a, b):
+        hs = real(p, q, a, b)
+        if 0 <= p <= a and 0 <= q <= b:
+            hs[1] += 1
+        return hs
+
+    monkeypatch.setattr(sheaf, "_char_cohomology", off_by_one)
+
+
+def repeat_chi0_as_chi1(monkeypatch):
+    """The Euler check reads chi0 in place of chi1: the coordinate
+    sections' character matrix drops to rank 3."""
+    chars = sheaf.SEGRE_CHARS
+    monkeypatch.setattr(sheaf, "SEGRE_CHARS", (chars[0], chars[0]) + chars[2:])
+
+
+def drop_d_of_three_forms(monkeypatch):
+    """d of every 3-form is zero in the cone's Kaehler tower: rank d3 is 0
+    while Omega^4 of the truncated cone is 1-dimensional from level 2 on."""
+    real = kaehler.d_terms
+    monkeypatch.setattr(kaehler, "d_terms",
+                        lambda exps, wedge: [] if len(wedge) == 3
+                        else real(exps, wedge))
+
+
+def zero_omega_transitions(monkeypatch):
+    """The weight-one source system's transitions are zero maps, so the
+    square of the form-side map at level 2 does not commute."""
+    real = ktheory.omega_transition
+
+    def zero(m, n, tensor=False):
+        f = real(m, n, tensor)
+        return LinearMap(f.domain, f.codomain, [{}] * f.domain.dim)
+
+    monkeypatch.setattr(ktheory, "omega_transition", zero)
+
+
 FAULTS = [
-    ("aq-local", zero_chart_d),
-    ("aq-local", double_chart_d_on_dx1_dy3),
-    ("aq-local", drop_one_truncation_relation),
-    ("aq-local", leave_g3_squared_out_of_j2),
-    ("pro-iso-d", double_beta_of_dx3),
-    ("key-seq", cut_one_level_low),
-    ("h0-surj", cut_one_level_low),
-    ("key-seq", drop_a_reduced_one_form_section),
-    ("h0-surj", drop_a_reduced_one_form_section),
+    ("aq-local", zero_chart_d, 1),
+    ("aq-local", double_chart_d_on_dx1_dy3, 1),
+    ("aq-local", drop_one_truncation_relation, 1),
+    ("aq-local", leave_g3_squared_out_of_j2, 1),
+    ("pro-iso-d", double_beta_of_dx3, 1),
+    ("key-seq", cut_one_level_low, 1),
+    ("h0-surj", cut_one_level_low, 1),
+    ("key-seq", drop_a_reduced_one_form_section, 1),
+    ("h0-surj", drop_a_reduced_one_form_section, 1),
+    ("vanish-omega", add_one_to_h1_inside_the_box, 1),
+    ("euler", repeat_chi0_as_chi1, 1),
+    ("k5plus", drop_d_of_three_forms, 1),
+    ("k1", zero_omega_transitions, 2),
 ]
 
 
 @pytest.fixture
-def cold_sections():
-    """Clear the section caches before the fault and after it is undone."""
-    caches = (encech.global_sections, encech.h0_char)
+def cold_caches():
+    """Clear the engine's caches before the fault and after it is undone."""
+    caches = [sheaf._cech_all] + [
+        fn for module in (kaehler, ktheory, encech)
+        for fn in vars(module).values() if hasattr(fn, "cache_clear")]
     for cache in caches:
         cache.cache_clear()
     yield
@@ -113,16 +171,33 @@ def cold_sections():
         cache.cache_clear()
 
 
-@pytest.mark.parametrize("check,fault", FAULTS,
-                         ids=[f"{c}-{f.__name__}" for c, f in FAULTS])
-def test_the_check_fails_under_the_fault(cold_sections, capsys, monkeypatch,
-                                         check, fault):
+@pytest.mark.parametrize("check,fault,expected", FAULTS,
+                         ids=[f"{c}-{f.__name__}" for c, f, _ in FAULTS])
+def test_the_check_fails_under_the_fault(cold_caches, capsys, monkeypatch,
+                                         check, fault, expected):
     fault(monkeypatch)
     code = cli.main(["verify", check, "--nmax", "4", "--window", "3"])
     rec = json.loads(capsys.readouterr().out)["checks"][0]
-    assert code == 1
-    assert rec["verdict"] == "FAIL"
+    assert code == expected
+    assert rec["verdict"] == {1: "FAIL", 2: "ERROR"}[expected]
     assert rec["witnesses"]
+
+
+def test_an_incompatible_relation_names_its_kind_and_character(
+        cold_caches, capsys, monkeypatch):
+    """With the dx1^dy3 coefficients of the section models' d doubled, a
+    d-image of hc_top is no longer a compatible section: h0-surj is an
+    engine error whose witness names the kind, m, the character and the
+    chart."""
+    monkeypatch.setattr(encech, "_chart_d_vec",
+                        _doubled_on_dx1_dy3(encech._chart_d_vec))
+    code = cli.main(["verify", "h0-surj", "--nmax", "4"])
+    rec = json.loads(capsys.readouterr().out)["checks"][0]
+    assert code == 2
+    assert rec["verdict"] == "ERROR"
+    [witness] = rec["witnesses"]
+    assert witness["error"] == ("hc_top m=2 u=(0, 2, 1, 1) chart 0: relation"
+                                " family is not a compatible section")
 
 
 def test_a_relation_that_does_not_lift_names_its_level_and_grade(
